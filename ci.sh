@@ -44,9 +44,11 @@ echo "── http front-door smoke ───────────────
 # (loopback client pool), twice over one artifact directory: asserts every
 # response byte-identical to serial execution, >0 coalesced submissions,
 # a warm-restart hit rate strictly above cold with zero warm compiles,
-# and /v1/stats reporting live memory rows (mem_traced_launches > 0 —
-# default-on tracing really runs under load). Full runs additionally
-# gate p99 against the pre-tracing baseline.
+# /v1/stats reporting live memory rows (mem_traced_launches > 0 —
+# default-on tracing really runs under load), and device_bytes_in_use == 0
+# once each run drains (every request frees its device buffers when it
+# retires). Full runs additionally gate p99 against the pre-tracing
+# baseline.
 cargo run --release -p mcmm-bench --bin serve-http -- --smoke
 
 echo "── adapter boilerplate guard ──────────────────────"

@@ -24,6 +24,9 @@
 //! * `/v1/stats` reports live memory rows (`mem_traced_launches > 0`) —
 //!   the default-on trace pipeline is actually running under load, not
 //!   silently disabled;
+//! * once the load drains, `/v1/stats` reports `device_bytes_in_use == 0`
+//!   on both runs — every request freed its device buffers when it
+//!   retired;
 //! * on the default full workload, p99 latency stays within 20% of the
 //!   pre-tracing baseline (`BENCH_serve_http.json` from the gateway PR)
 //!   — the production claim that tracing is cheap enough to leave on.
@@ -185,7 +188,7 @@ fn main() {
     };
 
     // Cold process: every route compiles once, artifacts persist to disk.
-    let (cold, cold_stats, wire_mem_launches) = {
+    let (cold, cold_stats, wire_mem_launches, wire_bytes_in_use) = {
         let gateway = Arc::new(Gateway::new(cfg()).expect("cold gateway up"));
         let server = HttpServer::start("127.0.0.1:0", gateway, clients.min(8)).expect("bind");
         let outcome = drive(server.addr(), &bodies, clients);
@@ -199,9 +202,11 @@ fn main() {
                 .expect("well-formed stats JSON");
         let wire_mem_launches =
             wire["mem_traced_launches"].as_u64().expect("stats carry mem_traced_launches");
+        let wire_bytes_in_use =
+            wire["device_bytes_in_use"].as_u64().expect("stats carry device_bytes_in_use");
         let stats = server.gateway().stats();
         server.shutdown();
-        (outcome, stats, wire_mem_launches)
+        (outcome, stats, wire_mem_launches, wire_bytes_in_use)
     };
     // Warm restart: a new process image over the same artifact directory.
     let (warm, warm_stats) = {
@@ -358,6 +363,15 @@ fn main() {
             cold.latencies.len()
         );
         failed = true;
+    }
+    for (run, in_use) in [("cold", wire_bytes_in_use), ("warm", warm_stats.device_bytes_in_use)] {
+        if in_use != 0 {
+            eprintln!(
+                "FAIL: {run} run drained but /v1/stats reports device_bytes_in_use = {in_use} — \
+                 requests are not freeing their device buffers"
+            );
+            failed = true;
+        }
     }
     // Latency regression gate against the pre-tracing gateway baseline
     // (BENCH_serve_http.json as of the gateway PR, same default workload:

@@ -116,6 +116,10 @@ pub struct GatewayStats {
     /// Aggregate simulated DRAM traffic in bytes across every shard
     /// device.
     pub mem_dram_bytes: u64,
+    /// Device memory allocated right now, summed over every shard device
+    /// (capacity − free bytes). Requests free their buffers when they
+    /// retire, so an idle gateway reads 0.
+    pub device_bytes_in_use: u64,
 }
 
 /// The sharded front-door core.
@@ -252,26 +256,18 @@ impl Gateway {
             cache_misses += c.misses;
         }
         let disk = self.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
-        let opt = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                mcmm_core::taxonomy::Vendor::ALL
-                    .into_iter()
-                    .map(|v| s.service().device(v).opt_stats())
-            })
+        let devices = || {
+            self.shards.iter().flat_map(|s| Vendor::ALL.into_iter().map(|v| s.service().device(v)))
+        };
+        let opt = devices()
+            .map(|d| d.opt_stats())
             .fold(mcmm_gpu_sim::OptStats::default(), |acc, s| acc.merged(s));
-        let (mem, mem_traced_launches) = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                mcmm_core::taxonomy::Vendor::ALL.into_iter().map(|v| {
-                    (s.service().device(v).mem_stats(), s.service().device(v).mem_launches())
-                })
-            })
-            .fold((mcmm_gpu_sim::MemStats::default(), 0u64), |(acc, n), (s, l)| {
-                (acc.merged(s), n + l)
+        let (mem, mem_traced_launches) = devices()
+            .fold((mcmm_gpu_sim::MemStats::default(), 0u64), |(acc, n), d| {
+                (acc.merged(d.mem_stats()), n + d.mem_launches())
             });
+        let device_bytes_in_use =
+            devices().map(|d| d.memory().capacity() - d.memory().free_bytes()).sum();
         GatewayStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             throttled: self.throttled.load(Ordering::Relaxed),
@@ -292,6 +288,7 @@ impl Gateway {
             mem_l1_hit_rate: mem.l1_hit_rate(),
             mem_l2_hit_rate: mem.l2_hit_rate(),
             mem_dram_bytes: mem.dram_bytes,
+            device_bytes_in_use,
         }
     }
 

@@ -19,8 +19,7 @@ use crate::isa::{disassemble, IsaKind, Module};
 use crate::lower::{ProgramCache, ProgramCacheStats};
 use crate::mem::{DevicePtr, GlobalMemory};
 use crate::memhier::{MemHierSpec, MemStats};
-use crate::pool::ScratchPool;
-use crate::pool::ThreadPool;
+use crate::pool::{run_indexed, ScratchPool};
 use crate::sched::SchedulePolicy;
 use crate::ssa::OptLevel;
 use crate::timing::{kernel_time, kernel_time_traced, transfer_time, ModeledTime};
@@ -464,7 +463,9 @@ impl TransferStats {
 pub struct Device {
     spec: DeviceSpec,
     memory: GlobalMemory,
-    pool: ThreadPool,
+    /// Host threads a large grid's blocks spread over (small grids run on
+    /// the launching thread; see [`crate::pool::run_indexed`]).
+    workers: usize,
     kernel_cache: Mutex<HashMap<u64, Arc<KernelIr>>>,
     clock: Mutex<f64>,
     /// Cumulative per-device counters, merged once per completed launch
@@ -499,13 +500,13 @@ pub struct Device {
 }
 
 impl Device {
-    /// Bring up a device of the given model. The execution pool is sized to
-    /// the host's parallelism (the *modeled* CU count only affects timing).
+    /// Bring up a device of the given model. Block dispatch is sized to the
+    /// host's parallelism (the *modeled* CU count only affects timing).
     pub fn new(spec: DeviceSpec) -> Arc<Self> {
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         Arc::new(Self {
             memory: GlobalMemory::new(spec.mem_bytes),
-            pool: ThreadPool::new(workers.min(8)),
+            workers: workers.min(8),
             kernel_cache: Mutex::new(HashMap::new()),
             clock: Mutex::new(0.0),
             cumulative: StatsCell::new(),
@@ -879,7 +880,7 @@ impl Device {
             error.lock().get_or_insert(e);
             failed.store(true, Ordering::Relaxed);
         };
-        self.pool.run_indexed(cfg.grid_dim as usize, cfg.policy.claim(), |block| {
+        run_indexed(self.workers, cfg.grid_dim as usize, cfg.policy.claim(), |block| {
             if failed.load(Ordering::Relaxed) {
                 return; // a sibling block already failed — stop early
             }

@@ -17,8 +17,9 @@
 //!   store, with an allocator and host↔device transfers;
 //! * [`exec`] — a SIMT interpreter executing one block as a wide lane
 //!   vector with divergence masks;
-//! * [`pool`] + [`sched`] — a work-stealing thread pool and block
-//!   schedulers distributing blocks over simulated compute units;
+//! * [`pool`] + [`sched`] — block dispatch (small grids inline on the
+//!   launching thread, larger ones over per-launch scoped threads) and
+//!   the static/dynamic block-claiming policies;
 //! * [`stream`] + [`event`] — asynchronous in-order queues and events;
 //! * [`counters`] + [`timing`] — performance counters and the analytic
 //!   timing model that produces *modeled* (deterministic, hardware-free)

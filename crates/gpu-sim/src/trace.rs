@@ -24,8 +24,8 @@
 //!   ascending lane order for loads/stores and in the device's
 //!   warp-round-robin commit order for atomics (the order both tiers
 //!   actually commit them in).
-//! * **Deterministic replay.** Blocks run on a thread pool and finish
-//!   in nondeterministic order; both replay modes sort by block id
+//! * **Deterministic replay.** Blocks may run on several threads and
+//!   finish in nondeterministic order; both replay modes sort by block id
 //!   before any shared-state stage, so replay is stable run-to-run.
 //!
 //! The sink supports two replay modes ([`ReplayMode`]):

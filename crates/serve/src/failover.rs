@@ -34,7 +34,7 @@
 //! routes trip breakers — replays exactly from the seed alone.
 
 use crate::job::{JobCompletion, JobId};
-use crate::service::{Service, SubmitOptions};
+use crate::service::{JobHandle, Service, SubmitOptions};
 use crate::workload::Workload;
 use mcmm_chaos::{AttemptCtx, FaultInjector};
 use mcmm_core::matrix::CompatMatrix;
@@ -263,7 +263,7 @@ impl FailoverRouter {
         let mut ids: Vec<JobId> = Vec::with_capacity(workload.jobs.len());
         let mut outputs = Vec::with_capacity(workload.jobs.len());
         for (plan_idx, job) in workload.jobs.iter().enumerate() {
-            match self.run_job(plan_idx as u64, job, &ids) {
+            match self.run_job(plan_idx as u64, job, Some(&ids)) {
                 Some((id, bytes, _route)) => {
                     ids.push(id);
                     outputs.push(Some(bytes));
@@ -382,13 +382,15 @@ impl FailoverRouter {
     /// breakers all apply, and the breaker state persists into the next
     /// call. Returns the read-back bytes plus the toolchain name of the
     /// route that finally served the job, or `None` if it was lost. This
-    /// is the gateway's per-request entry point.
+    /// is the gateway's per-request entry point: every attempt runs on
+    /// the calling thread ([`Service::run_with`]) and frees its buffers
+    /// when it retires.
     pub fn run_one(
         &mut self,
         plan_idx: u64,
         job: &crate::workload::PlannedJob,
     ) -> Option<(Vec<u8>, String)> {
-        if let Some((_, bytes, route)) = self.run_job(plan_idx, job, &[]) {
+        if let Some((_, bytes, route)) = self.run_job(plan_idx, job, None) {
             Some((bytes, route))
         } else {
             self.stats.lost += 1;
@@ -396,12 +398,14 @@ impl FailoverRouter {
         }
     }
 
-    /// Run one planned job to success or loss.
+    /// Run one planned job to success or loss. `ids` maps plan indices to
+    /// the service ids of a workload's earlier jobs, which queued
+    /// submission can depend on; `None` runs a standalone job inline.
     fn run_job(
         &mut self,
         plan_idx: u64,
         job: &crate::workload::PlannedJob,
-        ids: &[JobId],
+        ids: Option<&[JobId]>,
     ) -> Option<(JobId, Vec<u8>, String)> {
         let plan = self.plan_for(job.model, job.language, job.vendor);
         if plan.is_empty() {
@@ -441,12 +445,13 @@ impl FailoverRouter {
                 vendor: job.vendor,
                 route: &route.name,
             });
-            let spec = job.to_spec(ids);
-            let submitted =
-                self.service.submit_with(spec, SubmitOptions { route: Some(&route.name), faults });
-            let error = match submitted {
-                Ok(handle) => {
-                    let done = handle.wait();
+            let opts = SubmitOptions { route: Some(&route.name), faults };
+            let finished = match ids {
+                Some(ids) => self.service.submit_with(job.to_spec(ids), opts).map(JobHandle::wait),
+                None => self.service.run_with(job.to_spec(&[]), opts),
+            };
+            let error = match finished {
+                Ok(done) => {
                     match done.error {
                         None => {
                             // Success: reset the breaker, settle the trace.

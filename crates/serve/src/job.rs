@@ -119,6 +119,9 @@ pub enum SubmitError {
     },
     /// Device memory could not be allocated for the job's buffers.
     Alloc(SimError),
+    /// [`crate::Service::run_with`] runs standalone jobs only; this spec
+    /// depends on earlier jobs (`after` or [`ArgSpec::Output`]).
+    NotStandalone,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -142,6 +145,9 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "{job} argument {arg} is not a device buffer")
             }
             SubmitError::Alloc(e) => write!(f, "buffer allocation failed: {e}"),
+            SubmitError::NotStandalone => {
+                write!(f, "job has dependencies; only queued submission can order it")
+            }
         }
     }
 }

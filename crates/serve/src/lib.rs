@@ -17,7 +17,9 @@
 //!   a silent drop), and dependency-aware job DAGs mapped onto the
 //!   simulator's stream/event primitives: launch-after-launch edges become
 //!   `wait_event`, read-backs become transfer-after-launch on the job's
-//!   stream. Job failures stay job-local.
+//!   stream. Standalone jobs can instead run on the caller's thread
+//!   ([`Service::run_with`]), freeing their buffers when they retire.
+//!   Job failures stay job-local.
 //! * **Load generator + reports** ([`Workload`], [`ServeReport`]) — a
 //!   seeded, deterministic mixed workload over every routable frontend ×
 //!   device combination, and a report with throughput, p50/p99 modeled

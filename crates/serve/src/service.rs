@@ -2,21 +2,28 @@
 //!
 //! One [`Service`] owns the three simulated vendor devices, a small fan of
 //! streams per device, the shared content-addressed compile cache, and the
-//! route registry. [`Service::submit`] resolves a job's route, compiles
-//! through the cache (the analyzer lint gate runs once per cache fill, not
-//! per launch), applies admission control, and maps the job's dependency
-//! edges onto stream/event primitives:
+//! route registry. Admission resolves a job's route, applies admission
+//! control, compiles through the cache (the analyzer lint gate runs once
+//! per cache fill, not per launch), binds its buffers, and builds its
+//! stage list once: uploads, the launch, the optional read-back. Two
+//! dispatchers run that list:
 //!
-//! * every dependency becomes a [`Stream::wait_event`] on the dependency's
-//!   completion event (launch-after-launch, including across streams);
-//! * uploads, the launch, and the optional read-back run in stream order
-//!   (transfer-after-launch);
-//! * a completion event plus a host callback retire the job: the callback
-//!   releases the admission slot and classifies the outcome — it fires
-//!   even if the job failed, so slots can never leak.
+//! * [`Service::submit`] / [`Service::submit_with`] queue it on a stream
+//!   and map the job's dependency edges onto stream/event primitives:
+//!   every dependency becomes a [`Stream::wait_event`] on the
+//!   dependency's completion event (launch-after-launch, including across
+//!   streams), and the stages run in stream order (transfer-after-launch).
+//!   Workload DAGs go this way.
+//! * [`Service::run_with`] runs a standalone job on the calling thread,
+//!   with no handoff, and frees its buffers at retirement. The gateway's
+//!   per-request path goes this way.
 //!
-//! Job failures are **job-local**: operation closures route errors into
-//! the job's error slot and report success to the stream, so one tenant's
+//! Either way, retirement releases the admission slot, classifies the
+//! outcome and completes the job's event — even if the job failed, so
+//! slots can never leak.
+//!
+//! Job failures are **job-local**: stages route errors into the job's
+//! error slot and report success to the stream, so one tenant's
 //! out-of-bounds access never poisons the stream for its neighbours.
 
 use crate::job::{ArgSpec, JobCompletion, JobId, JobSpec, SubmitError};
@@ -24,6 +31,7 @@ use mcmm_chaos::AttemptFaults;
 use mcmm_core::taxonomy::Vendor;
 use mcmm_gpu_sim::device::{Device, KernelArg, LaunchConfig};
 use mcmm_gpu_sim::event::Event;
+use mcmm_gpu_sim::fault::{LaunchFault, TransferFault};
 use mcmm_gpu_sim::mem::DevicePtr;
 use mcmm_gpu_sim::stream::Stream;
 use mcmm_gpu_sim::timing::ModeledTime;
@@ -34,12 +42,13 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Concurrent streams per device (≥ 1).
+    /// Concurrent streams per device (≥ 1), spawned by the device's first
+    /// queued submission.
     pub streams_per_device: usize,
     /// Admission-control bound: jobs in flight per device before
     /// submissions are rejected with [`SubmitError::QueueFull`].
@@ -103,7 +112,10 @@ pub struct SubmitOptions<'a> {
 /// One device plus its scheduling state.
 struct Lane {
     device: Arc<Device>,
-    streams: Vec<Stream>,
+    /// The device's stream fan, spawned by the first asynchronous
+    /// submission: a service driven only through [`Service::run_with`]
+    /// holds no threads.
+    streams: OnceLock<Vec<Stream>>,
     /// Round-robin cursor over `streams`.
     next_stream: AtomicUsize,
     /// Jobs admitted but not yet retired on this device.
@@ -120,6 +132,86 @@ struct JobRecord {
     done: Event,
 }
 
+/// One device operation of a job. Admission builds a job's stage list
+/// once — its uploads in argument order, the launch, then the optional
+/// read-back — and either dispatcher runs it in order: queued on a stream
+/// by [`Service::submit_with`], or on the caller's thread by
+/// [`Service::run_with`].
+enum Stage {
+    Upload(DevicePtr, Vec<u8>, Option<TransferFault>),
+    Launch(Arc<Module>, LaunchConfig, Vec<KernelArg>, Option<LaunchFault>),
+    ReadBack(DevicePtr, u64, Option<TransferFault>),
+}
+
+/// A job's outcome, written by its stages and read at retirement.
+#[derive(Default)]
+struct JobSlots {
+    /// The first error any stage hit. Job-local: the job's later stages
+    /// are skipped, but the stream and its other tenants carry on.
+    error: Mutex<Option<SimError>>,
+    output: Mutex<Option<Vec<u8>>>,
+}
+
+impl Stage {
+    fn run(self, dev: &Device, job: &JobSlots) {
+        if job.error.lock().is_some() {
+            return; // an earlier stage of *this job* failed
+        }
+        let result = match self {
+            Stage::Upload(ptr, bytes, fault) => {
+                dev.memcpy_h2d_faulted(ptr, &bytes, fault.as_ref()).map(drop)
+            }
+            Stage::Launch(module, cfg, args, fault) => {
+                dev.launch_faulted(&module, cfg, &args, fault.as_ref()).map(drop)
+            }
+            Stage::ReadBack(ptr, len, fault) => dev
+                .memcpy_d2h_faulted(ptr, len, fault.as_ref())
+                .map(|(bytes, _)| *job.output.lock() = Some(bytes)),
+        };
+        if let Err(e) = result {
+            job.error.lock().get_or_insert(e);
+        }
+    }
+}
+
+/// Retire a job after its last stage: classify the outcome, give back
+/// the admission slot, then complete the job's event at the device's
+/// clock — so by the time a waiter observes `done`, the books balance.
+/// Runs whether or not the job failed, so slots cannot leak.
+fn retire(
+    job: &JobSlots,
+    done: &Event,
+    device: &Device,
+    completed: &AtomicU64,
+    failed: &AtomicU64,
+    in_flight: &AtomicUsize,
+) {
+    let outcome = if job.error.lock().is_some() { failed } else { completed };
+    outcome.fetch_add(1, Ordering::SeqCst);
+    in_flight.fetch_sub(1, Ordering::SeqCst);
+    done.complete(device.modeled_clock());
+}
+
+/// A job's arguments resolved against its device.
+struct Bound {
+    /// The device operations to run, in order.
+    stages: Vec<Stage>,
+    /// Per-argument buffer table (for later jobs' [`ArgSpec::Output`]).
+    buffers: Vec<Option<(DevicePtr, u64)>>,
+    /// The buffers this job allocated itself.
+    fresh: Vec<(DevicePtr, u64)>,
+    /// Dependency completion events to wait on.
+    wait_on: Vec<Event>,
+}
+
+/// A job past route resolution, admission control, compilation and
+/// binding: everything either dispatcher needs to run it.
+struct Admitted<'s> {
+    lane: &'s Lane,
+    handle: JobHandle,
+    bound: Bound,
+}
+
 /// A handle to one accepted job.
 pub struct JobHandle {
     /// The job's service-wide id.
@@ -129,8 +221,7 @@ pub struct JobHandle {
     /// Served from the compile cache?
     pub cache_hit: bool,
     done: Event,
-    error: Arc<Mutex<Option<SimError>>>,
-    output: Arc<Mutex<Option<Vec<u8>>>>,
+    job: Arc<JobSlots>,
     admitted_at: ModeledTime,
 }
 
@@ -143,8 +234,8 @@ impl JobHandle {
         JobCompletion {
             id: self.id,
             vendor: self.vendor,
-            output: self.output.lock().take(),
-            error: self.error.lock().take(),
+            output: self.job.output.lock().take(),
+            error: self.job.error.lock().take(),
             latency,
             cache_hit: self.cache_hit,
         }
@@ -161,10 +252,11 @@ pub struct Service {
     registry: Registry,
     cache: Arc<CompileCache>,
     lanes: BTreeMap<Vendor, Lane>,
+    streams_per_device: usize,
     jobs: Mutex<HashMap<JobId, JobRecord>>,
     next_id: AtomicU64,
     queue_depth: usize,
-    submitted: Arc<AtomicU64>,
+    submitted: AtomicU64,
     completed: Arc<AtomicU64>,
     failed: Arc<AtomicU64>,
     rejected: AtomicU64,
@@ -201,7 +293,8 @@ fn spec_key(spec: &JobSpec) -> u64 {
 
 impl Service {
     /// Bring up the service: three devices, `streams_per_device` streams
-    /// each, a fresh compile cache, and the paper's route registry.
+    /// each (spawned on first asynchronous use), a fresh compile cache,
+    /// and the paper's route registry.
     pub fn new(cfg: ServeConfig) -> Self {
         Self::with_registry(cfg, Registry::paper())
     }
@@ -224,14 +317,11 @@ impl Service {
             .map(|v| {
                 let device = Device::new(vendor_device_spec(v));
                 device.set_tracing(cfg.tracing);
-                let streams = (0..cfg.streams_per_device.max(1))
-                    .map(|_| Stream::new(Arc::clone(&device)))
-                    .collect();
                 (
                     v,
                     Lane {
                         device,
-                        streams,
+                        streams: OnceLock::new(),
                         next_stream: AtomicUsize::new(0),
                         in_flight: Arc::new(AtomicUsize::new(0)),
                     },
@@ -242,10 +332,11 @@ impl Service {
             registry,
             cache,
             lanes,
+            streams_per_device: cfg.streams_per_device.max(1),
             jobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             queue_depth: cfg.queue_depth.max(1),
-            submitted: Arc::new(AtomicU64::new(0)),
+            submitted: AtomicU64::new(0),
             completed: Arc::new(AtomicU64::new(0)),
             failed: Arc::new(AtomicU64::new(0)),
             rejected: AtomicU64::new(0),
@@ -296,11 +387,83 @@ impl Service {
     /// [`Service::submit`] with per-submission [`SubmitOptions`]: an
     /// explicit route override (the failover router steering a retry onto
     /// an alternative route of the same cell) and injected faults.
+    ///
+    /// The job's stages are queued on one of its device's streams, after
+    /// a wait on each dependency's completion event. Its buffers stay
+    /// allocated so later jobs can alias them ([`ArgSpec::Output`]).
     pub fn submit_with(
         &self,
         spec: JobSpec,
         opts: SubmitOptions<'_>,
     ) -> Result<JobHandle, SubmitError> {
+        let Admitted { lane, handle, bound } = self.admit(spec, opts)?;
+        let streams = lane.streams.get_or_init(|| {
+            (0..self.streams_per_device).map(|_| Stream::new(Arc::clone(&lane.device))).collect()
+        });
+        let stream = &streams[lane.next_stream.fetch_add(1, Ordering::SeqCst) % streams.len()];
+        for dep in &bound.wait_on {
+            stream.wait_event(dep);
+        }
+        for stage in bound.stages {
+            let job = Arc::clone(&handle.job);
+            stream.exec(move |dev| {
+                stage.run(dev, &job);
+                Ok(()) // job-local error: never poison the stream
+            });
+        }
+        // A host callback runs even behind a failed operation, so the
+        // job always retires.
+        let (job, done, device) =
+            (Arc::clone(&handle.job), handle.done.clone(), Arc::clone(&lane.device));
+        let (completed, failed, in_flight) =
+            (Arc::clone(&self.completed), Arc::clone(&self.failed), Arc::clone(&lane.in_flight));
+        stream.callback(move || retire(&job, &done, &device, &completed, &failed, &in_flight));
+        self.jobs.lock().insert(
+            handle.id,
+            JobRecord { vendor: handle.vendor, buffers: bound.buffers, done: handle.done.clone() },
+        );
+        Ok(handle)
+    }
+
+    /// Run one standalone job to retirement on the calling thread: the
+    /// same admission, compilation and stages as [`Service::submit_with`],
+    /// with no stream handoff. Nothing can name the job afterwards, so
+    /// every buffer it allocated is freed at retirement, whether it
+    /// succeeded or failed. A spec with dependencies (`after` or
+    /// [`ArgSpec::Output`]) is refused with [`SubmitError::NotStandalone`].
+    pub fn run_with(
+        &self,
+        spec: JobSpec,
+        opts: SubmitOptions<'_>,
+    ) -> Result<JobCompletion, SubmitError> {
+        if !spec.after.is_empty() || spec.args.iter().any(|a| matches!(a, ArgSpec::Output(..))) {
+            return Err(SubmitError::NotStandalone);
+        }
+        let Admitted { lane, handle, bound } = self.admit(spec, opts)?;
+        let device = &lane.device;
+        for stage in bound.stages {
+            stage.run(device, &handle.job);
+        }
+        for (ptr, len) in bound.fresh {
+            device.free(ptr, len);
+        }
+        retire(&handle.job, &handle.done, device, &self.completed, &self.failed, &lane.in_flight);
+        Ok(handle.wait())
+    }
+
+    /// Block until every stream on every device has drained. Jobs run
+    /// through [`Service::run_with`] have retired by the time it returns.
+    pub fn drain(&self) {
+        for s in self.lanes.values().filter_map(|lane| lane.streams.get()).flatten() {
+            // Serve streams are never poisoned (job errors are local), so
+            // a sync error here is a service bug worth surfacing.
+            s.synchronize().expect("serve stream poisoned");
+        }
+    }
+
+    /// Route resolution, admission control, compilation and binding —
+    /// everything both dispatchers share before a job's first stage.
+    fn admit(&self, spec: JobSpec, opts: SubmitOptions<'_>) -> Result<Admitted<'_>, SubmitError> {
         let lane = &self.lanes[&spec.vendor];
         let no_route = SubmitError::NoRoute {
             model: spec.model,
@@ -333,15 +496,19 @@ impl Service {
             });
         }
         // Admitted: if this spec bounced off admission earlier, the
-        // tenant came back — settle one outstanding rejection.
+        // tenant came back — settle one outstanding rejection. Keying a
+        // spec hashes every input byte, so skip it while none is pending.
         {
             let mut pending = self.rejected_pending.lock();
-            if let Some(count) = pending.get_mut(&spec_key(&spec)) {
-                *count -= 1;
-                if *count == 0 {
-                    pending.remove(&spec_key(&spec));
+            if !pending.is_empty() {
+                let key = spec_key(&spec);
+                if let Some(count) = pending.get_mut(&key) {
+                    *count -= 1;
+                    if *count == 0 {
+                        pending.remove(&key);
+                    }
+                    self.resubmitted.fetch_add(1, Ordering::SeqCst);
                 }
-                self.resubmitted.fetch_add(1, Ordering::SeqCst);
             }
         }
         // Any refusal below must give the slot back.
@@ -365,219 +532,120 @@ impl Service {
                 opts.faults.compile.as_deref(),
             )
             .map_err(|e| release_on_err(SubmitError::Compile(e)))?;
-        let efficiency = compiler.efficiency();
+        let cfg =
+            LaunchConfig::linear(spec.n, spec.block_dim).with_efficiency(compiler.efficiency());
 
-        // 4. Resolve dependencies and bind buffers.
-        let resolved = self.bind_args(&spec, &lane.device).map_err(release_on_err)?;
+        // 4. Resolve dependencies, bind buffers, build the stage list.
+        let vendor = spec.vendor;
+        let bound =
+            self.bind(spec, &lane.device, module, cfg, opts.faults).map_err(release_on_err)?;
+        self.submitted.fetch_add(1, Ordering::SeqCst);
+        let handle = JobHandle {
+            id: JobId(self.next_id.fetch_add(1, Ordering::SeqCst)),
+            vendor,
+            cache_hit,
+            done: Event::new(),
+            job: Arc::new(JobSlots::default()),
+            admitted_at: lane.device.modeled_clock(),
+        };
+        Ok(Admitted { lane, handle, bound })
+    }
 
-        // 5. Map the job onto a stream.
-        let id = JobId(self.next_id.fetch_add(1, Ordering::SeqCst));
-        let stream =
-            &lane.streams[lane.next_stream.fetch_add(1, Ordering::SeqCst) % lane.streams.len()];
-        let done = Event::new();
-        let error: Arc<Mutex<Option<SimError>>> = Arc::new(Mutex::new(None));
-        let output: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-        let admitted_at = lane.device.modeled_clock();
-
-        for dep in &resolved.wait_on {
-            stream.wait_event(dep);
+    /// Resolve a job's arguments into its buffer table and stage list:
+    /// fresh buffers are allocated, dependency buffers aliased.
+    /// Dependencies and the read-back slot are checked before anything is
+    /// allocated, and a failed allocation frees what the job already
+    /// holds, so a refused job keeps no device memory.
+    fn bind(
+        &self,
+        spec: JobSpec,
+        device: &Device,
+        module: Arc<Module>,
+        cfg: LaunchConfig,
+        faults: AttemptFaults,
+    ) -> Result<Bound, SubmitError> {
+        let mut wait_on = Vec::new();
+        let mut buffers: Vec<Option<(DevicePtr, u64)>> = vec![None; spec.args.len()];
+        let mut dep_ids: Vec<JobId> = spec.after.clone();
+        dep_ids.extend(spec.args.iter().filter_map(|a| match a {
+            ArgSpec::Output(id, _) => Some(*id),
+            _ => None,
+        }));
+        if !dep_ids.is_empty() {
+            dep_ids.sort();
+            dep_ids.dedup();
+            let jobs = self.jobs.lock();
+            for id in &dep_ids {
+                let rec = jobs.get(id).ok_or(SubmitError::UnknownDependency(*id))?;
+                if spec.args.iter().any(|a| matches!(a, ArgSpec::Output(d, _) if d == id))
+                    && rec.vendor != spec.vendor
+                {
+                    return Err(SubmitError::CrossDeviceDependency {
+                        job: *id,
+                        expected: spec.vendor,
+                        found: rec.vendor,
+                    });
+                }
+                wait_on.push(rec.done.clone());
+            }
+            for (slot, a) in buffers.iter_mut().zip(&spec.args) {
+                if let ArgSpec::Output(id, idx) = a {
+                    *slot = Some(
+                        jobs[id]
+                            .buffers
+                            .get(*idx)
+                            .copied()
+                            .flatten()
+                            .ok_or(SubmitError::BadBuffer { job: *id, arg: *idx })?,
+                    );
+                }
+            }
         }
+        if let Some(idx) = spec.read_back {
+            if matches!(spec.args.get(idx), None | Some(ArgSpec::Scalar(_))) {
+                return Err(SubmitError::BadBuffer { job: JobId(0), arg: idx });
+            }
+        }
+
+        let mut stages = Vec::with_capacity(spec.args.len() + 2);
+        let mut args = Vec::with_capacity(spec.args.len());
+        let mut fresh: Vec<(DevicePtr, u64)> = Vec::new();
         // An injected upload fault aborts the job's *first* upload; the
         // remaining uploads are skipped via the job-local error slot, the
         // same path an organic transfer failure takes.
-        let mut upload_fault = opts.faults.upload;
-        for (ptr, bytes) in resolved.uploads {
-            let slot = Arc::clone(&error);
-            let fault = upload_fault.take();
-            stream.exec(move |dev| {
-                if slot.lock().is_some() {
-                    return Ok(()); // a prior op of *this job* failed
-                }
-                if let Err(e) = dev.memcpy_h2d_faulted(ptr, &bytes, fault.as_ref()) {
-                    slot.lock().get_or_insert(e);
-                }
-                Ok(()) // job-local error: never poison the stream
-            });
-        }
-        {
-            let slot = Arc::clone(&error);
-            let module: Arc<Module> = Arc::clone(&module);
-            let cfg = LaunchConfig::linear(spec.n, spec.block_dim).with_efficiency(efficiency);
-            let args = resolved.args;
-            let fault = opts.faults.launch;
-            stream.exec(move |dev| {
-                if slot.lock().is_some() {
-                    return Ok(());
-                }
-                if let Err(e) = dev.launch_faulted(&module, cfg, &args, fault.as_ref()) {
-                    slot.lock().get_or_insert(e);
-                }
-                Ok(())
-            });
-        }
-        if let Some((ptr, len)) = resolved.read_back {
-            let slot = Arc::clone(&error);
-            let out = Arc::clone(&output);
-            let fault = opts.faults.read_back;
-            stream.exec(move |dev| {
-                if slot.lock().is_some() {
-                    return Ok(());
-                }
-                match dev.memcpy_d2h_faulted(ptr, len, fault.as_ref()) {
-                    Ok((bytes, _)) => *out.lock() = Some(bytes),
-                    Err(e) => {
-                        slot.lock().get_or_insert(e);
-                    }
-                }
-                Ok(())
-            });
-        }
-        {
-            // Retirement: release the admission slot and classify the
-            // outcome. Runs even after failures — slots cannot leak. The
-            // completion event is recorded *after* this, so by the time a
-            // waiter observes `done`, the books already balance.
-            let in_flight = Arc::clone(&lane.in_flight);
-            let (completed, failed) = (Arc::clone(&self.completed), Arc::clone(&self.failed));
-            let slot = Arc::clone(&error);
-            stream.callback(move || {
-                if slot.lock().is_some() {
-                    failed.fetch_add(1, Ordering::SeqCst);
-                } else {
-                    completed.fetch_add(1, Ordering::SeqCst);
-                }
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        stream.record(&done);
-
-        self.submitted.fetch_add(1, Ordering::SeqCst);
-        self.jobs.lock().insert(
-            id,
-            JobRecord { vendor: spec.vendor, buffers: resolved.buffers, done: done.clone() },
-        );
-        Ok(JobHandle { id, vendor: spec.vendor, cache_hit, done, error, output, admitted_at })
-    }
-
-    /// Block until every stream on every device has drained.
-    pub fn drain(&self) {
-        for lane in self.lanes.values() {
-            for s in &lane.streams {
-                // Serve streams are never poisoned (job errors are local),
-                // so a sync error here is a service bug worth surfacing.
-                s.synchronize().expect("serve stream poisoned");
-            }
-        }
-    }
-
-    /// Resolve `spec.args` into device pointers, uploads, and dependency
-    /// events. Allocates fresh buffers; aliases dependency buffers.
-    fn bind_args(&self, spec: &JobSpec, device: &Arc<Device>) -> Result<ResolvedArgs, SubmitError> {
-        let jobs = self.jobs.lock();
-        let mut wait_on = Vec::new();
-        let mut dep_ids: Vec<JobId> = spec.after.clone();
-        for a in &spec.args {
-            if let ArgSpec::Output(id, _) = a {
-                dep_ids.push(*id);
-            }
-        }
-        dep_ids.sort();
-        dep_ids.dedup();
-        for id in &dep_ids {
-            let rec = jobs.get(id).ok_or(SubmitError::UnknownDependency(*id))?;
-            if spec.args.iter().any(|a| matches!(a, ArgSpec::Output(d, _) if d == id))
-                && rec.vendor != spec.vendor
-            {
-                return Err(SubmitError::CrossDeviceDependency {
-                    job: *id,
-                    expected: spec.vendor,
-                    found: rec.vendor,
-                });
-            }
-            wait_on.push(rec.done.clone());
-        }
-
-        let mut args = Vec::with_capacity(spec.args.len());
-        let mut buffers = Vec::with_capacity(spec.args.len());
-        let mut uploads = Vec::new();
-        let mut fresh: Vec<(DevicePtr, u64)> = Vec::new();
-        let mut alloc = |len: u64| -> Result<DevicePtr, SubmitError> {
-            let ptr = device.alloc(len).map_err(SubmitError::Alloc)?;
-            fresh.push((ptr, len));
-            Ok(ptr)
-        };
-        let mut failed = None;
-        for a in &spec.args {
-            match a {
+        let mut upload_fault = faults.upload;
+        for (slot, a) in buffers.iter_mut().zip(spec.args) {
+            let (len, bytes) = match a {
                 ArgSpec::Scalar(k) => {
-                    args.push(*k);
-                    buffers.push(None);
+                    args.push(k);
+                    continue;
                 }
-                ArgSpec::In(bytes) => match alloc(bytes.len() as u64) {
-                    Ok(ptr) => {
-                        uploads.push((ptr, bytes.clone()));
-                        args.push(KernelArg::Ptr(ptr));
-                        buffers.push(Some((ptr, bytes.len() as u64)));
-                    }
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                },
-                ArgSpec::Zeroed(len) => match alloc(*len) {
-                    Ok(ptr) => {
-                        uploads.push((ptr, vec![0u8; *len as usize]));
-                        args.push(KernelArg::Ptr(ptr));
-                        buffers.push(Some((ptr, *len)));
-                    }
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                },
-                ArgSpec::Output(id, idx) => {
-                    let rec = jobs.get(id).ok_or(SubmitError::UnknownDependency(*id))?;
-                    let (ptr, len) = rec
-                        .buffers
-                        .get(*idx)
-                        .copied()
-                        .flatten()
-                        .ok_or(SubmitError::BadBuffer { job: *id, arg: *idx })?;
-                    args.push(KernelArg::Ptr(ptr));
-                    buffers.push(Some((ptr, len)));
+                ArgSpec::Output(..) => {
+                    args.push(KernelArg::Ptr(slot.expect("aliased buffers resolved above").0));
+                    continue;
                 }
-            }
+                ArgSpec::In(bytes) => (bytes.len() as u64, bytes),
+                ArgSpec::Zeroed(len) => (len, vec![0u8; len as usize]),
+            };
+            let ptr = match device.alloc(len) {
+                Ok(ptr) => ptr,
+                Err(e) => {
+                    for (ptr, len) in fresh {
+                        device.free(ptr, len);
+                    }
+                    return Err(SubmitError::Alloc(e));
+                }
+            };
+            fresh.push((ptr, len));
+            *slot = Some((ptr, len));
+            args.push(KernelArg::Ptr(ptr));
+            stages.push(Stage::Upload(ptr, bytes, upload_fault.take()));
         }
-        if let Some(e) = failed {
-            // Give back what this job allocated before the failure.
-            for (ptr, len) in fresh {
-                device.free(ptr, len);
-            }
-            return Err(e);
+        stages.push(Stage::Launch(module, cfg, args, faults.launch));
+        if let Some(idx) = spec.read_back {
+            let (ptr, len) = buffers[idx].expect("read-back slot checked above");
+            stages.push(Stage::ReadBack(ptr, len, faults.read_back));
         }
-        let read_back = match spec.read_back {
-            None => None,
-            Some(idx) => Some(
-                buffers
-                    .get(idx)
-                    .copied()
-                    .flatten()
-                    .ok_or(SubmitError::BadBuffer { job: JobId(0), arg: idx })?,
-            ),
-        };
-        Ok(ResolvedArgs { args, buffers, uploads, wait_on, read_back })
+        Ok(Bound { stages, buffers, fresh, wait_on })
     }
-}
-
-struct ResolvedArgs {
-    /// Kernel arguments in signature order.
-    args: Vec<KernelArg>,
-    /// Per-argument buffer table (for later jobs' [`ArgSpec::Output`]).
-    buffers: Vec<Option<(DevicePtr, u64)>>,
-    /// Host data to upload in stream order before the launch.
-    uploads: Vec<(DevicePtr, Vec<u8>)>,
-    /// Dependency completion events to wait on.
-    wait_on: Vec<Event>,
-    /// Buffer to read back after the launch.
-    read_back: Option<(DevicePtr, u64)>,
 }
