@@ -9,6 +9,13 @@ cargo build --workspace --release
 echo "── tests ──────────────────────────────────────────"
 cargo test --workspace -q
 
+echo "── perfbench self-tests ───────────────────────────"
+# perfbench builds the workspace crates and shims from source; its tests
+# include "traced path ≡ Gateway::submit", the guard that a shim or
+# gateway change keeps the benchmark building and its traced mirror
+# faithful.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "── benches compile ────────────────────────────────"
 cargo bench --workspace --no-run
 

@@ -2,7 +2,7 @@
 //! the serving layer's planned-job vocabulary.
 
 use mcmm_core::taxonomy::{Language, Model, Vendor};
-use mcmm_gpu_sim::diffval::fnv1a;
+use mcmm_gpu_sim::diffval::Fnv1a;
 use mcmm_serve::{KernelShape, PlannedInput, PlannedJob};
 use serde::{Deserialize, Serialize};
 
@@ -115,15 +115,13 @@ impl SubmitRequest {
             return Err(ApiError::bad_request("a must be finite"));
         }
 
-        let mut id = Vec::with_capacity(32 + 8 * self.x.len());
-        id.extend_from_slice(shape.name().as_bytes());
-        id.push(0);
-        id.extend_from_slice(&[model as u8, language as u8, vendor as u8]);
-        id.extend_from_slice(&self.a.to_bits().to_le_bytes());
-        for v in self.x.iter().chain(&self.y) {
-            id.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let key = fnv1a(&id);
+        let key = self.x.iter().chain(&self.y).fold(
+            Fnv1a::default()
+                .write(shape.name().as_bytes())
+                .write(&[0, model as u8, language as u8, vendor as u8])
+                .write(&self.a.to_le_bytes()),
+            |h, v| h.write(&v.to_le_bytes()),
+        );
 
         Ok(ValidSubmit {
             job: PlannedJob {
@@ -136,7 +134,7 @@ impl SubmitRequest {
                 y: self.y.clone(),
                 n: self.x.len() as u64,
             },
-            key,
+            key: key.finish(),
         })
     }
 }
@@ -165,6 +163,14 @@ mod tests {
         let v = back.validate().unwrap();
         assert_eq!(v.job.n, 2);
         assert_eq!(v.key, req().validate().unwrap().key, "identical requests share a key");
+    }
+
+    #[test]
+    fn coalescing_key_is_pinned() {
+        // Keys identify in-flight work across releases: the hash input
+        // layout (shape, NUL, route triple, `a`, `x`, `y` as LE bits) must
+        // not drift.
+        assert_eq!(req().validate().unwrap().key, 0x5f04_63ec_5e8f_29b7);
     }
 
     #[test]

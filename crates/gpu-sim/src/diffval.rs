@@ -64,12 +64,35 @@ impl std::fmt::Display for Observation {
 /// FNV-1a over a byte slice — stable, dependency-free, and good enough to
 /// witness any byte-level divergence between two runs.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    Fnv1a::default().write(bytes).finish()
+}
+
+/// Streaming FNV-1a: hashing the pieces of a byte string in order gives
+/// the same value as [`fnv1a`] over their concatenation, without
+/// building it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Feed `bytes` into the hash.
+    pub fn write(mut self, bytes: &[u8]) -> Self {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// Launch `kernel` on a fresh device built from `spec` under `tier` and

@@ -5,7 +5,10 @@
 //! approach Rust Atomics and Locks teaches: make the unsynchronized
 //! accesses atomic-relaxed instead of UB). Sub-word stores splice bytes via
 //! `fetch_update`; kernel-visible atomics ([`GlobalMemory::atomic_rmw`])
-//! use CAS loops on the containing word.
+//! use CAS loops on the containing word. Host transfers move whole words:
+//! [`GlobalMemory::write_bytes`] stores each word it fully covers with one
+//! relaxed store and splices only its unaligned ends, and
+//! [`GlobalMemory::read_bytes`] loads each covered word once.
 //!
 //! Allocation is a simple first-fit free-list with 256-byte-aligned blocks
 //! (real GPU allocators also hand out aligned slabs).
@@ -197,31 +200,46 @@ impl GlobalMemory {
         Ok(decode(ty, old_raw))
     }
 
-    /// Host → device copy.
+    /// Host → device copy. Every word the range fully covers is stored
+    /// whole; only the unaligned head and tail bytes (at most 7 each) are
+    /// spliced into their words.
     pub fn write_bytes(&self, ptr: DevicePtr, data: &[u8]) -> Result<()> {
         self.check(ptr.0, data.len() as u64)?;
-        for (i, &b) in data.iter().enumerate() {
-            let addr = ptr.0 + i as u64;
-            let w = &self.words[(addr / 8) as usize];
-            let shift = (addr % 8) * 8;
-            let mask = 0xFFu64 << shift;
-            w.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
-                Some((old & !mask) | ((u64::from(b)) << shift))
-            })
-            .expect("fetch_update closure always returns Some");
+        let head = (ptr.0.wrapping_neg() % 8).min(data.len() as u64) as usize;
+        let (head_bytes, body) = data.split_at(head);
+        let mut chunks = body.chunks_exact(8);
+        let tail = chunks.remainder();
+        for (i, &b) in head_bytes.iter().enumerate() {
+            self.write_raw(ptr.0 + i as u64, 1, u64::from(b))?;
+        }
+        let first = ((ptr.0 + head as u64) / 8) as usize;
+        for (w, chunk) in self.words[first..].iter().zip(&mut chunks) {
+            let word =
+                u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8) yields 8 bytes"));
+            w.store(word, Ordering::Relaxed);
+        }
+        let tail_at = ptr.0 + (data.len() - tail.len()) as u64;
+        for (i, &b) in tail.iter().enumerate() {
+            self.write_raw(tail_at + i as u64, 1, u64::from(b))?;
         }
         Ok(())
     }
 
-    /// Device → host copy.
+    /// Device → host copy: each covered word is loaded once.
     pub fn read_bytes(&self, ptr: DevicePtr, len: u64) -> Result<Vec<u8>> {
         self.check(ptr.0, len)?;
-        let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            let addr = ptr.0 + i;
-            let word = self.words[(addr / 8) as usize].load(Ordering::Relaxed);
-            out.push((word >> ((addr % 8) * 8)) as u8);
+        let words = &self.words[(ptr.0 / 8) as usize..(ptr.0 + len).div_ceil(8) as usize];
+        // The covered words hold at most 7 bytes beyond each end of the range.
+        let mut out = Vec::with_capacity(len as usize + 7);
+        if let Some((first, rest)) = words.split_first() {
+            out.extend_from_slice(
+                &first.load(Ordering::Relaxed).to_le_bytes()[(ptr.0 % 8) as usize..],
+            );
+            for w in rest {
+                out.extend_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
+            }
         }
+        out.truncate(len as usize);
         Ok(out)
     }
 
@@ -368,6 +386,59 @@ mod tests {
         assert_eq!(m.read_bytes(DevicePtr(3), 100).unwrap(), data);
         m.copy_within(DevicePtr(3), DevicePtr(128), 100).unwrap();
         assert_eq!(m.read_bytes(DevicePtr(128), 100).unwrap(), data);
+    }
+
+    /// Byte-at-a-time reference transfers for the word-wide ones.
+    fn write_ref(m: &GlobalMemory, addr: u64, data: &[u8]) {
+        for (i, &b) in data.iter().enumerate() {
+            m.write_raw(addr + i as u64, 1, u64::from(b)).unwrap();
+        }
+    }
+
+    fn read_ref(m: &GlobalMemory, addr: u64, len: u64) -> Vec<u8> {
+        (0..len).map(|i| m.read_raw(addr + i, 1).unwrap() as u8).collect()
+    }
+
+    #[test]
+    fn transfers_match_a_byte_reference_at_every_offset() {
+        let fill: Vec<u8> = (0..64u8).map(|i| 0xA5 ^ i).collect();
+        for off in 0..16u64 {
+            for len in 0..40u64 {
+                let m = GlobalMemory::new(64);
+                write_ref(&m, 0, &fill);
+                let data: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+                m.write_bytes(DevicePtr(off), &data).unwrap();
+                let mut want = fill.clone();
+                want[off as usize..(off + len) as usize].copy_from_slice(&data);
+                // The written range changed, and its neighbours did not.
+                assert_eq!(read_ref(&m, 0, 64), want, "write at {off}+{len}");
+                for (a, l) in [(off, len), (0, 64), (off, 64 - off), (off / 3, len)] {
+                    assert_eq!(
+                        m.read_bytes(DevicePtr(a), l).unwrap(),
+                        read_ref(&m, a, l),
+                        "read at {a}+{l} after write at {off}+{len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transfers_out_of_bounds_are_refused_untouched() {
+        let m = GlobalMemory::new(64);
+        let oob = |r: Result<()>, a, l| {
+            assert!(matches!(r, Err(SimError::OutOfBounds { addr, len }) if addr == a && len == l));
+        };
+        oob(m.write_bytes(DevicePtr(60), &[0xFF; 5]), 60, 5);
+        oob(m.write_bytes(DevicePtr(u64::MAX - 2), &[0xFF; 8]), u64::MAX - 2, 8);
+        oob(m.read_bytes(DevicePtr(57), 8).map(drop), 57, 8);
+        oob(m.read_bytes(DevicePtr(u64::MAX - 3), 8).map(drop), u64::MAX - 3, 8);
+        oob(m.copy_within(DevicePtr(0), DevicePtr(40), 32), 40, 32);
+        assert_eq!(m.read_bytes(DevicePtr(0), 64).unwrap(), vec![0; 64], "refused writes wrote");
+        // Ranges ending exactly at the end of memory are in bounds.
+        m.write_bytes(DevicePtr(57), &[9; 7]).unwrap();
+        assert_eq!(m.read_bytes(DevicePtr(56), 8).unwrap(), [0, 9, 9, 9, 9, 9, 9, 9]);
+        assert!(m.read_bytes(DevicePtr(64), 0).unwrap().is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `Serialize`/`Deserialize` implementations for the std types the
 //! workspace serializes.
 
-use crate::{DeError, Deserialize, Serialize, Value};
+use crate::{Deserialize, Error, Reader, Serialize, Value};
 use std::collections::BTreeMap;
 
 impl Serialize for Value {
@@ -11,8 +11,8 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.value()
     }
 }
 
@@ -29,8 +29,8 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_bool().ok_or_else(|| DeError::custom("expected a boolean"))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.scalar("a boolean", |v| v.as_bool())
     }
 }
 
@@ -44,12 +44,9 @@ macro_rules! int_impls {
             }
 
             impl Deserialize for $t {
-                fn from_value(v: &Value) -> Result<Self, DeError> {
-                    let i = v
-                        .as_i64()
-                        .ok_or_else(|| DeError::custom("expected an integer"))?;
-                    <$t>::try_from(i)
-                        .map_err(|_| DeError::custom("integer out of range"))
+                fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                    let i = r.scalar("an integer", |v| v.as_i64())?;
+                    <$t>::try_from(i).map_err(|_| r.error("integer out of range"))
                 }
             }
         )*
@@ -64,8 +61,8 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_f64().ok_or_else(|| DeError::custom("expected a number"))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.float()
     }
 }
 
@@ -76,8 +73,8 @@ impl Serialize for f32 {
 }
 
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        f64::from_value(v).map(|f| f as f32)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        f64::deserialize(r).map(|f| f as f32)
     }
 }
 
@@ -94,8 +91,11 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str().map(str::to_owned).ok_or_else(|| DeError::custom("expected a string"))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.scalar("a string", |v| match v {
+            Value::String(s) => Some(s),
+            _ => None,
+        })
     }
 }
 
@@ -103,8 +103,8 @@ impl Deserialize for &'static str {
     /// Deserializing into `&'static str` leaks the decoded string. The
     /// workspace only does this in tests round-tripping small structs with
     /// `&'static str` fields; real serde would borrow from the input.
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        String::from_value(v).map(|s| &*s.leak())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        String::deserialize(r).map(|s| &*s.leak())
     }
 }
 
@@ -115,12 +115,12 @@ impl Serialize for char {
 }
 
 impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let s = v.as_str().ok_or_else(|| DeError::custom("expected a string"))?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let s = String::deserialize(r)?;
         let mut chars = s.chars();
         match (chars.next(), chars.next()) {
             (Some(c), None) => Ok(c),
-            _ => Err(DeError::custom("expected a single character")),
+            _ => Err(r.error("expected a single character")),
         }
     }
 }
@@ -135,12 +135,16 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        if v.is_null() {
-            Ok(None)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.peek()? == b'n' {
+            r.value().map(|_| None)
         } else {
-            T::from_value(v).map(Some)
+            T::deserialize(r).map(Some)
         }
+    }
+
+    fn missing_field(_: &Reader<'_>, _: &str) -> Result<Self, Error> {
+        Ok(None)
     }
 }
 
@@ -157,12 +161,13 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_array()
-            .ok_or_else(|| DeError::custom("expected an array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut out = Vec::new();
+        r.array(|r| {
+            out.push(T::deserialize(r)?);
+            Ok(())
+        })?;
+        Ok(out)
     }
 }
 
@@ -191,15 +196,18 @@ macro_rules! tuple_impls {
             }
 
             impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-                fn from_value(v: &Value) -> Result<Self, DeError> {
-                    let items = v
-                        .as_array()
-                        .ok_or_else(|| DeError::custom("expected a tuple array"))?;
-                    let expected = [$($idx),+].len();
-                    if items.len() != expected {
-                        return Err(DeError::custom("tuple length mismatch"));
-                    }
-                    Ok(($($name::from_value(&items[$idx])?,)+))
+                fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                    let mut slots = ($(None::<$name>,)+);
+                    let mut next = 0;
+                    r.array(|r| {
+                        match next {
+                            $($idx => slots.$idx = Some($name::deserialize(r)?),)+
+                            _ => return Err(r.error("tuple length mismatch")),
+                        }
+                        next += 1;
+                        Ok(())
+                    })?;
+                    Ok(($(slots.$idx.ok_or_else(|| r.error("tuple length mismatch"))?,)+))
                 }
             }
         )*

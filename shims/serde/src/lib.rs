@@ -2,42 +2,25 @@
 //!
 //! The build environment has no crates.io access, so the workspace pins
 //! `serde` to this path shim. Instead of serde's visitor architecture it
-//! serializes through an owned JSON-like [`Value`] tree: `Serialize`
-//! converts a type *to* a `Value`, `Deserialize` reads it back *from* one,
-//! and the accompanying `serde_json` shim renders/parses the tree as JSON
-//! text. The derive macros (from the sibling `serde_derive` shim) emit the
-//! same external representation real serde would: structs become objects
-//! in field order, unit enum variants become strings, and newtype variants
+//! has two plain halves. `Serialize` converts a type *to* an owned
+//! JSON-like [`Value`] tree, which the `serde_json` shim renders as text.
+//! `Deserialize` reads a type straight *from* JSON text through the
+//! hardened [`Reader`]: a struct decodes field by field into typed slots
+//! and a `Vec<f32>` number by number, with no tree in between — a
+//! [`Value`] is built only when the target type is `Value` itself. The
+//! derive macros (from the sibling `serde_derive` shim) emit the same
+//! external representation real serde would: structs become objects in
+//! field order, unit enum variants become strings, and newtype variants
 //! become single-entry objects.
 
 pub use serde_derive::{Deserialize, Serialize};
 
 mod impls;
+mod read;
 mod value;
 
+pub use read::{Error, Reader, MAX_DEPTH};
 pub use value::Value;
-
-/// Error produced when a [`Value`] cannot be decoded into the requested
-/// type.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeError {
-    msg: String,
-}
-
-impl DeError {
-    /// Create an error with a custom message.
-    pub fn custom(msg: impl Into<String>) -> Self {
-        Self { msg: msg.into() }
-    }
-}
-
-impl std::fmt::Display for DeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.msg)
-    }
-}
-
-impl std::error::Error for DeError {}
 
 /// A type that can render itself as a [`Value`] tree.
 pub trait Serialize {
@@ -45,8 +28,14 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// A type that can be reconstructed from a [`Value`] tree.
+/// A type that can be read from JSON text.
 pub trait Deserialize: Sized {
-    /// Decode an instance from a value tree.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
+    /// Read exactly one JSON value from `r` and decode it.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
+
+    /// The value of a struct field whose key is absent from its object: an
+    /// error naming the field, except for `Option`, which reads as `None`.
+    fn missing_field(r: &Reader<'_>, field: &str) -> Result<Self, Error> {
+        Err(r.error(format!("missing field `{field}`")))
+    }
 }

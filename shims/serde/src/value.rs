@@ -1,8 +1,6 @@
-//! The JSON-like value tree all (de)serialization goes through, plus its
+//! The JSON-like value tree all serialization goes through, plus its
 //! text rendering. Object entries keep insertion order, which for derived
 //! structs is declaration order — the same shape real serde_json produces.
-
-use crate::DeError;
 
 /// An owned JSON-like value.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,22 +90,6 @@ impl Value {
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Object(o) => o.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Like [`Value::get`] but yielding `null` for missing keys — the
-    /// lookup the derived `Deserialize` impls use, so `Option` fields read
-    /// absent keys as `None`.
-    pub fn get_field(&self, key: &str) -> &Value {
-        self.get(key).unwrap_or(&NULL)
-    }
-
-    /// The key and value of a single-entry object — the external
-    /// representation of a newtype enum variant.
-    pub fn as_single_entry(&self) -> Option<(&str, &Value)> {
-        match self {
-            Value::Object(o) if o.len() == 1 => Some((o[0].0.as_str(), &o[0].1)),
             _ => None,
         }
     }
@@ -221,7 +203,7 @@ impl std::fmt::Display for Value {
 impl std::ops::Index<&str> for Value {
     type Output = Value;
     fn index(&self, key: &str) -> &Value {
-        self.get_field(key)
+        self.get(key).unwrap_or(&NULL)
     }
 }
 
@@ -287,11 +269,5 @@ impl PartialEq<usize> for Value {
             Value::Int(i) => i128::from(*i) == *other as i128,
             _ => false,
         }
-    }
-}
-
-impl From<DeError> for String {
-    fn from(e: DeError) -> String {
-        e.to_string()
     }
 }

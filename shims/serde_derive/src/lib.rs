@@ -10,6 +10,10 @@
 //! * enums whose variants are unit or newtype, serialized externally
 //!   tagged like real serde: unit variants as strings, newtype variants as
 //!   single-entry objects.
+//!
+//! A derived `Deserialize` pulls from the `serde` shim's streaming
+//! `Reader`: a struct keeps one `Option` slot per field and fills it as
+//! its key goes by, so no value tree is built on the way.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -224,59 +228,89 @@ fn render_serialize(item: &Item) -> String {
 fn render_deserialize(item: &Item) -> String {
     let Item { name, generics, kind } = item;
     let body = match kind {
+        // One `Option` slot per field. The first occurrence of a key fills
+        // its slot; duplicates and unknown keys are read and dropped.
         ItemKind::Struct(fields) => {
-            let entries: String = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::Deserialize::from_value(__v.get_field(\"{f}\"))?,"))
+            let slots: String = (0..fields.len())
+                .map(|i| format!("let mut __f{i} = ::std::option::Option::None;"))
                 .collect();
-            format!("::std::result::Result::Ok(Self {{ {entries} }})")
+            let arms: String = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    format!(
+                        "\"{f}\" if __f{i}.is_none() => __f{i} = \
+                         ::std::option::Option::Some(::serde::Deserialize::deserialize(__r)?),"
+                    )
+                })
+                .collect();
+            let inits: String = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    format!(
+                        "{f}: match __f{i} {{ ::std::option::Option::Some(__v) => __v, \
+                         ::std::option::Option::None => \
+                         ::serde::Deserialize::missing_field(__r, \"{f}\")?, }},"
+                    )
+                })
+                .collect();
+            format!(
+                "{slots}\n\
+                 __r.object(|__r, __k| {{\n\
+                 match __k {{ {arms} _ => __r.skip_value()?, }}\n\
+                 ::std::result::Result::Ok(())\n\
+                 }})?;\n\
+                 ::std::result::Result::Ok(Self {{ {inits} }})"
+            )
         }
+        // Unit variants are strings; a newtype variant is an object with
+        // exactly one entry.
         ItemKind::Enum(variants) => {
+            let err = format!("__r.error(\"invalid value for enum {name}\")");
             let unit_arms: String = variants
                 .iter()
                 .filter(|(_, has_payload)| !has_payload)
-                .map(|(v, _)| format!("\"{v}\" => return ::std::result::Result::Ok({name}::{v}),"))
+                .map(|(v, _)| format!("\"{v}\" => ::std::result::Result::Ok({name}::{v}),"))
                 .collect();
             let payload_arms: String = variants
                 .iter()
                 .filter(|(_, has_payload)| *has_payload)
                 .map(|(v, _)| {
-                    format!(
-                        "\"{v}\" => return ::std::result::Result::Ok({name}::{v}(\
-                         ::serde::Deserialize::from_value(__val)?)),"
-                    )
+                    format!("\"{v}\" => {name}::{v}(::serde::Deserialize::deserialize(__r)?),")
                 })
                 .collect();
             let unit_block = if unit_arms.is_empty() {
                 String::new()
             } else {
                 format!(
-                    "if let ::std::option::Option::Some(__s) = __v.as_str() {{\n\
-                     match __s {{ {unit_arms} _ => {{}} }}\n\
+                    "if __r.peek()? == b'\"' {{\n\
+                     return match &*__r.string()? {{ {unit_arms} _ => \
+                     ::std::result::Result::Err({err}), }};\n\
                      }}"
                 )
             };
             let payload_block = if payload_arms.is_empty() {
-                String::new()
+                format!("::std::result::Result::Err({err})")
             } else {
                 format!(
-                    "if let ::std::option::Option::Some((__k, __val)) = \
-                     __v.as_single_entry() {{\n\
-                     match __k {{ {payload_arms} _ => {{}} }}\n\
-                     }}"
+                    "let mut __out = ::std::option::Option::None;\n\
+                     __r.object(|__r, __k| {{\n\
+                     if __out.is_some() {{ return ::std::result::Result::Err({err}); }}\n\
+                     __out = ::std::option::Option::Some(match __k {{ {payload_arms} \
+                     _ => return ::std::result::Result::Err({err}), }});\n\
+                     ::std::result::Result::Ok(())\n\
+                     }})?;\n\
+                     __out.ok_or_else(|| {err})"
                 )
             };
-            format!(
-                "{unit_block}\n{payload_block}\n\
-                 ::std::result::Result::Err(::serde::DeError::custom(\
-                 \"invalid value for enum {name}\"))"
-            )
+            format!("{unit_block}\n{payload_block}")
         }
     };
     format!(
         "impl {generics} ::serde::Deserialize for {name} {generics} {{\n\
-         fn from_value(__v: &::serde::Value) -> \
-         ::std::result::Result<Self, ::serde::DeError> {{ {body} }}\n\
+         fn deserialize(__r: &mut ::serde::Reader<'_>) -> \
+         ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n\
          }}"
     )
 }

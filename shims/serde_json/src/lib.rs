@@ -1,68 +1,20 @@
 //! Workspace-local stand-in for the `serde_json` crate.
 //!
 //! The build environment has no crates.io access, so the workspace pins
-//! `serde_json` to this path shim. It renders and parses JSON text over
-//! the `serde` shim's [`Value`] tree: `to_string` walks a `Serialize`
-//! type's value tree, `from_str` parses text into a tree and decodes it
-//! with `Deserialize`. Output shape matches real serde_json (compact with
-//! no spaces; pretty with two-space indent; struct fields in declaration
-//! order).
+//! `serde_json` to this path shim. `to_string` renders a `Serialize`
+//! type's [`Value`] tree as JSON text. `from_str` hands the text to the
+//! `serde` shim's hardened [`serde::Reader`], which the target type's
+//! `Deserialize` impl pulls from directly — no tree is built unless the
+//! target is [`Value`] — and then rejects trailing garbage. Output shape
+//! matches real serde_json (compact with no spaces; pretty with two-space
+//! indent; struct fields in declaration order).
 //!
 //! The reader is hardened for **network input** (the gateway feeds it raw
-//! HTTP bodies): trailing garbage after the document is rejected, nesting
-//! depth is capped at [`MAX_DEPTH`] so a hostile `[[[[…` body cannot blow
-//! the stack, and every error carries the byte offset it was detected at
-//! ([`Error::position`]) — including truncated bodies, which report the
-//! end-of-input offset instead of a positionless "unexpected end".
+//! HTTP bodies): nesting depth is capped at [`MAX_DEPTH`] and every error
+//! carries the byte offset it was detected at ([`Error::position`]),
+//! including truncated bodies, which report the end-of-input offset.
 
-pub use serde::Value;
-
-/// Maximum nesting depth (arrays + objects) the parser accepts. Deeper
-/// documents are rejected with a positioned error rather than recursing
-/// toward a stack overflow — this parser runs on untrusted network bodies.
-pub const MAX_DEPTH: usize = 64;
-
-/// Error from serialization or parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error {
-    msg: String,
-    pos: Option<usize>,
-}
-
-impl Error {
-    fn new(msg: impl Into<String>) -> Self {
-        Self { msg: msg.into(), pos: None }
-    }
-
-    fn at(msg: impl Into<String>, pos: usize) -> Self {
-        Self { msg: msg.into(), pos: Some(pos) }
-    }
-
-    /// Byte offset in the input where the error was detected, when the
-    /// error came from parsing (decode errors from `Deserialize` have no
-    /// position). For truncated input this is the input length — the
-    /// point where more bytes were expected.
-    pub fn position(&self) -> Option<usize> {
-        self.pos
-    }
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.pos {
-            Some(p) => write!(f, "{} at byte {p}", self.msg),
-            None => f.write_str(&self.msg),
-        }
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Self {
-        Self::new(e.to_string())
-    }
-}
+pub use serde::{Error, Value, MAX_DEPTH};
 
 /// Serialize a value as compact JSON text.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
@@ -81,252 +33,10 @@ pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value, Error>
 
 /// Deserialize a value from JSON text.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    let value = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 }.parse_document()?;
-    Ok(T::from_value(&value)?)
-}
-
-/// Deserialize a value from a JSON [`Value`] tree.
-pub fn from_value<T: serde::Deserialize>(value: Value) -> Result<T, Error> {
-    Ok(T::from_value(&value)?)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Current array/object nesting depth, capped at [`MAX_DEPTH`].
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn parse_document(mut self) -> Result<Value, Error> {
-        let v = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(Error::at("trailing characters after document", self.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    /// Truncated-input error, positioned at the end of the bytes.
-    fn truncated(&self, what: &str) -> Error {
-        Error::at(format!("unexpected end of input ({what})"), self.bytes.len())
-    }
-
-    fn peek(&mut self) -> Result<u8, Error> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied().ok_or_else(|| self.truncated("expected a value"))
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::at(format!("expected `{}`", b as char), self.pos))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> Result<(), Error> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(())
-        } else {
-            Err(Error::at("invalid literal", self.pos))
-        }
-    }
-
-    /// Enter one nesting level, rejecting documents deeper than
-    /// [`MAX_DEPTH`]. The caller must pair it with a `depth -= 1`.
-    fn descend(&mut self) -> Result<(), Error> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(Error::at(format!("nesting deeper than {MAX_DEPTH} levels"), self.pos));
-        }
-        Ok(())
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        match self.peek()? {
-            b'n' => self.eat_keyword("null").map(|()| Value::Null),
-            b't' => self.eat_keyword("true").map(|()| Value::Bool(true)),
-            b'f' => self.eat_keyword("false").map(|()| Value::Bool(false)),
-            b'"' => self.parse_string().map(Value::String),
-            b'[' => self.parse_array(),
-            b'{' => self.parse_object(),
-            b'-' | b'0'..=b'9' => self.parse_number(),
-            c => Err(Error::at(format!("unexpected `{}`", c as char), self.pos)),
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        self.descend()?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Array(items));
-                }
-                c => {
-                    return Err(Error::at(
-                        format!("expected `,` or `]`, found `{}`", c as char),
-                        self.pos,
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        self.descend()?;
-        let mut entries = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            entries.push((key, self.parse_value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Object(entries));
-                }
-                c => {
-                    return Err(Error::at(
-                        format!("expected `,` or `}}`, found `{}`", c as char),
-                        self.pos,
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c =
-                *self.bytes.get(self.pos).ok_or_else(|| self.truncated("unterminated string"))?;
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.truncated("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let unit = self.parse_hex4()?;
-                            // Combine a UTF-16 surrogate pair if present.
-                            let code = if (0xD800..0xDC00).contains(&unit) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.parse_hex4()?;
-                                    0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
-                                } else {
-                                    return Err(Error::at("lone surrogate", self.pos));
-                                }
-                            } else {
-                                unit
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::at("invalid \\u escape", self.pos))?,
-                            );
-                        }
-                        c => {
-                            return Err(Error::at(
-                                format!("invalid escape `\\{}`", c as char),
-                                self.pos - 1,
-                            ))
-                        }
-                    }
-                }
-                _ => {
-                    // Copy the full UTF-8 sequence starting at this byte.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| Error::at("invalid UTF-8 in string", start))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
-        let hex = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.truncated("truncated \\u escape"))?;
-        self.pos += 4;
-        let s = std::str::from_utf8(hex).map_err(|_| Error::at("invalid \\u escape", self.pos))?;
-        u32::from_str_radix(s, 16).map_err(|_| Error::at("invalid \\u escape", self.pos))
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(&c) = self.bytes.get(self.pos) {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error::at(format!("invalid number `{text}`"), start))
-    }
+    let mut reader = serde::Reader::new(s);
+    let value = T::deserialize(&mut reader)?;
+    reader.end()?;
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -358,6 +68,20 @@ mod tests {
     }
 
     #[test]
+    fn invalid_surrogate_pairs_are_positioned_errors() {
+        // A high surrogate must be followed by `\u` and a low surrogate
+        // (DC00..=DFFF); anything else is a lone surrogate, reported just
+        // past the high half.
+        for text in [r#""\ud800\u0041""#, r#""\ud800\ue000""#, r#""\ud800x""#] {
+            let err = from_str::<Value>(text).unwrap_err();
+            assert!(err.to_string().contains("lone surrogate"), "{text}: {err}");
+            assert_eq!(err.position(), 7, "{text}: {err}");
+        }
+        let v: Value = from_str(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v.as_str().unwrap().chars().collect::<Vec<_>>(), ['\u{1F600}']);
+    }
+
+    #[test]
     fn pretty_output_parses_back() {
         let v = Value::Object(vec![
             ("n".to_string(), Value::Int(1)),
@@ -381,7 +105,7 @@ mod tests {
         for (text, at) in [("1 2", 2), ("{} x", 3), ("[1],", 3), ("true false", 5)] {
             let err = from_str::<Value>(text).unwrap_err();
             assert!(err.to_string().contains("trailing characters"), "{text}: {err}");
-            assert_eq!(err.position(), Some(at), "{text}");
+            assert_eq!(err.position(), at, "{text}");
         }
     }
 
@@ -392,7 +116,7 @@ mod tests {
         for text in ["{\"a\": 1", "[1, 2", "\"abc", "{\"key", "[{\"x\": ", "\"esc\\"] {
             let err = from_str::<Value>(text).unwrap_err();
             assert!(err.to_string().contains("unexpected end of input"), "{text}: {err}");
-            assert_eq!(err.position(), Some(text.len()), "{text}: {err}");
+            assert_eq!(err.position(), text.len(), "{text}: {err}");
         }
     }
 
@@ -405,7 +129,7 @@ mod tests {
         let err = from_str::<Value>(&deep).unwrap_err();
         assert!(err.to_string().contains("nesting deeper"), "{err}");
         // Positioned just past the bracket that exceeded the budget.
-        assert_eq!(err.position(), Some(MAX_DEPTH + 1));
+        assert_eq!(err.position(), MAX_DEPTH + 1);
         // Mixed arrays/objects share one depth budget.
         let mixed =
             "{\"a\":".repeat(40) + &"[".repeat(40) + "1" + &"]".repeat(40) + &"}".repeat(40);
@@ -423,8 +147,44 @@ mod tests {
     #[test]
     fn invalid_numbers_are_positioned() {
         let err = from_str::<Value>("[1, -]").unwrap_err();
-        assert_eq!(err.position(), Some(4), "{err}");
+        assert_eq!(err.position(), 4, "{err}");
         let err = from_str::<Value>("[1e]").unwrap_err();
-        assert_eq!(err.position(), Some(1), "{err}");
+        assert_eq!(err.position(), 1, "{err}");
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    enum Shape {
+        Unit,
+        Wrapped(u8),
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Record {
+        shape: Shape,
+        pair: (u8, char),
+        note: Option<String>,
+    }
+
+    #[test]
+    fn derived_types_read_straight_from_text() {
+        let r: Record =
+            from_str(r#"{"pair":[1,"c"],"shape":{"Wrapped":7},"shape":"Unit"}"#).unwrap();
+        assert_eq!(r, Record { shape: Shape::Wrapped(7), pair: (1, 'c'), note: None });
+        assert_eq!(from_str::<Record>(&to_string(&r).unwrap()).unwrap(), r);
+        let r: Record = from_str(r#"{"shape":"Unit","pair":[0,"x"],"note":null}"#).unwrap();
+        assert_eq!((r.shape, r.note), (Shape::Unit, None));
+        for bad in [
+            r#"{"shape":"Other","pair":[1,"c"]}"#,
+            r#"{"shape":{"Wrapped":1,"Unit":2},"pair":[1,"c"]}"#,
+            r#"{"shape":{},"pair":[1,"c"]}"#,
+            r#"{"shape":"Unit","pair":[1]}"#,
+            r#"{"shape":"Unit","pair":[1,"c",2]}"#,
+            r#"{"shape":"Unit","pair":[256,"c"]}"#,
+            r#"{"shape":"Unit","pair":[1,"cd"]}"#,
+        ] {
+            assert!(from_str::<Record>(bad).is_err(), "{bad}");
+        }
+        let err = from_str::<Record>(r#"{"shape":"Unit"}"#).unwrap_err();
+        assert!(err.to_string().starts_with("missing field `pair`"), "{err}");
     }
 }
