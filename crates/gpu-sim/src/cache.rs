@@ -391,6 +391,20 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_cache_misses_sector_zero() {
+        // Tag 0 is a real line address; a never-used way must not match
+        // it, on a fresh cache and after a reset.
+        let mut c = SectoredCache::new(1 << 10, 128, 4, 32);
+        for _ in 0..2 {
+            let r = c.read(0);
+            assert!(!r.hit && r.filled);
+            assert!(!c.update_if_present(32));
+            assert!(!c.write(64, false, false).hit);
+            c.reset();
+        }
+    }
+
+    #[test]
     fn deterministic_replay() {
         let drive = || {
             let mut c = SectoredCache::new(4 << 10, 128, 4, 32);
@@ -404,5 +418,179 @@ mod tests {
             (hits, c.flush_dirty())
         };
         assert_eq!(drive(), drive());
+    }
+
+    /// Oracle: the cache semantics as first written — one struct per
+    /// line, the victim picked by `min_by_key` over `(live, tick)`
+    /// (first minimum wins), writebacks returned as an ascending `Vec`,
+    /// and `reset` forgetting every line.
+    struct RefCache {
+        line_bytes: u64,
+        sector_bytes: u64,
+        ways: usize,
+        sets: u64,
+        /// `(tag, tick, valid, dirty)`; `tag == None` = never used.
+        lines: Vec<(Option<u64>, u64, u64, u64)>,
+        tick: u64,
+    }
+
+    impl RefCache {
+        fn new(bytes: u64, line_bytes: u64, ways: usize, sector_bytes: u64) -> Self {
+            let sets = bytes / (line_bytes * ways as u64);
+            assert!(sets.is_power_of_two());
+            let lines = vec![(None, 0, 0, 0); sets as usize * ways];
+            Self { line_bytes, sector_bytes, ways, sets, lines, tick: 0 }
+        }
+
+        fn locate(&self, addr: u64) -> (std::ops::Range<usize>, u64, u64) {
+            let tag = addr / self.line_bytes * self.line_bytes;
+            let set = ((addr / self.line_bytes) % self.sets) as usize;
+            (set * self.ways..(set + 1) * self.ways, tag, 1 << ((addr - tag) / self.sector_bytes))
+        }
+
+        fn find(&self, range: std::ops::Range<usize>, tag: u64) -> Option<usize> {
+            range.into_iter().find(|&i| self.lines[i].0 == Some(tag))
+        }
+
+        fn sectors(&self, tag: u64, mask: u64) -> Vec<u64> {
+            (0..64).filter(|s| mask & (1 << s) != 0).map(|s| tag + s * self.sector_bytes).collect()
+        }
+
+        /// Evict the set's LRU way, install the new line there, and
+        /// return the victim's dirty sectors.
+        fn replace(&mut self, range: std::ops::Range<usize>, line: (u64, u64, u64)) -> Vec<u64> {
+            let lines = &self.lines;
+            let victim = range
+                .min_by_key(|&i| match lines[i] {
+                    (Some(_), tick, ..) => (true, tick),
+                    (None, ..) => (false, 0),
+                })
+                .unwrap();
+            let wbs = match self.lines[victim] {
+                (Some(tag), _, _, dirty) => self.sectors(tag, dirty),
+                (None, ..) => Vec::new(),
+            };
+            self.lines[victim] = (Some(line.0), self.tick, line.1, line.2);
+            wbs
+        }
+
+        fn read(&mut self, addr: u64) -> (bool, bool, Vec<u64>) {
+            self.tick += 1;
+            let (range, tag, bit) = self.locate(addr);
+            if let Some(i) = self.find(range.clone(), tag) {
+                let line = &mut self.lines[i];
+                line.1 = self.tick;
+                if line.2 & bit != 0 {
+                    return (true, false, vec![]);
+                }
+                line.2 |= bit;
+                return (false, true, vec![]);
+            }
+            (false, true, self.replace(range, (tag, bit, 0)))
+        }
+
+        fn write(&mut self, addr: u64, full: bool, alloc: bool) -> (bool, bool, Vec<u64>) {
+            self.tick += 1;
+            let (range, tag, bit) = self.locate(addr);
+            if let Some(i) = self.find(range.clone(), tag) {
+                let line = &mut self.lines[i];
+                line.1 = self.tick;
+                if line.2 & bit != 0 {
+                    line.3 |= bit;
+                    return (true, false, vec![]);
+                }
+                if !alloc && !full {
+                    return (false, false, vec![]);
+                }
+                line.2 |= bit;
+                line.3 |= bit;
+                return (false, !full, vec![]);
+            }
+            if !alloc {
+                return (false, false, vec![]);
+            }
+            (false, !full, self.replace(range, (tag, bit, bit)))
+        }
+
+        fn update_if_present(&mut self, addr: u64) -> bool {
+            self.tick += 1;
+            let (range, tag, bit) = self.locate(addr);
+            match self.find(range, tag) {
+                Some(i) => {
+                    self.lines[i].1 = self.tick;
+                    self.lines[i].2 & bit != 0
+                }
+                None => false,
+            }
+        }
+
+        fn reset(&mut self) {
+            for line in &mut self.lines {
+                line.0 = None;
+            }
+        }
+
+        fn flush_dirty(&mut self) -> Vec<u64> {
+            let mut out = Vec::new();
+            for i in 0..self.lines.len() {
+                if let (Some(tag), _, _, dirty) = self.lines[i] {
+                    out.extend(self.sectors(tag, dirty));
+                    self.lines[i].3 = 0;
+                }
+            }
+            out.sort_unstable();
+            out
+        }
+    }
+
+    /// A cache outcome as `(hit, filled, writebacks in emission order)`.
+    fn outcome(o: CacheOutcome) -> (bool, bool, Vec<u64>) {
+        (o.hit, o.filled, o.writebacks)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random read/write/update/reset/flush sequences over a small
+        /// 4-way geometry (four sets, so nearly every miss evicts) agree
+        /// with the oracle on every outcome, writeback and flush.
+        #[test]
+        fn random_sequences_match_the_reference_model(
+            ops in proptest::collection::vec(
+                (0u8..20, 0u64..96, proptest::prelude::any::<bool>(),
+                    proptest::prelude::any::<bool>()),
+                1..400,
+            ),
+            geometry in 0usize..2,
+        ) {
+            let (line, sector) = [(64, 32), (64, 64)][geometry];
+            let mut cache = SectoredCache::new(4 * 4 * line, line, 4, sector);
+            let mut oracle = RefCache::new(4 * 4 * line, line, 4, sector);
+            for (step, &(op, slot, full, alloc)) in ops.iter().enumerate() {
+                let addr = slot * sector % (24 * line);
+                match op {
+                    0..=7 => proptest::prop_assert_eq!(
+                        outcome(cache.read(addr)), oracle.read(addr), "step {} read {}", step, addr
+                    ),
+                    8..=15 => proptest::prop_assert_eq!(
+                        outcome(cache.write(addr, full, alloc)),
+                        oracle.write(addr, full, alloc),
+                        "step {} write {}", step, addr
+                    ),
+                    16..=17 => proptest::prop_assert_eq!(
+                        cache.update_if_present(addr), oracle.update_if_present(addr),
+                        "step {} update {}", step, addr
+                    ),
+                    18 => {
+                        cache.reset();
+                        oracle.reset();
+                    }
+                    _ => proptest::prop_assert_eq!(
+                        cache.flush_dirty(), oracle.flush_dirty(), "step {} flush", step
+                    ),
+                }
+            }
+            proptest::prop_assert_eq!(cache.flush_dirty(), oracle.flush_dirty());
+        }
     }
 }

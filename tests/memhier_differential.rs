@@ -11,7 +11,7 @@ use many_models::gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig, Ti
 use many_models::gpu_sim::ir::{
     AtomicOp, BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value,
 };
-use many_models::gpu_sim::{DeviceSpec, MemStats};
+use many_models::gpu_sim::{DeviceSpec, MemStats, ReplayMode};
 use std::sync::Arc;
 
 const N: usize = 2048;
@@ -214,6 +214,154 @@ fn gather_l1_hit_rate_separates_the_three_warp_widths() {
                 (ra - rb).abs() > 0.02,
                 "warp-width-sensitive gather does not separate {na} ({ra:.3}) from {nb} ({rb:.3})"
             );
+        }
+    }
+}
+
+/// `c[i] = a[(i % 32) * 16] + b[i]`: the `memhier` bench's Gather128,
+/// whose per-warp sector count depends on the warp width.
+fn gather128_kernel() -> KernelIr {
+    let mut k = KernelBuilder::new("gather128");
+    let a = k.param(Type::I64);
+    let b = k.param(Type::I64);
+    let c = k.param(Type::I64);
+    let _sum = k.param(Type::I64);
+    let n = k.param(Type::I32);
+    let i = k.global_thread_id_x();
+    let in_range = k.cmp(CmpOp::Lt, i, n);
+    k.if_(in_range, |k| {
+        let rem = k.bin(BinOp::Rem, i, Value::I32(32));
+        let idx = k.bin(BinOp::Mul, rem, Value::I32(16));
+        let av = k.ld_elem(Space::Global, Type::F64, a, idx);
+        let bv = k.ld_elem(Space::Global, Type::F64, b, i);
+        let s = k.bin(BinOp::Add, av, bv);
+        k.st_elem(Space::Global, c, i, s);
+    });
+    k.finish()
+}
+
+/// `c[block_base + (255 - tid)] = a[i]` through a shared tile: the
+/// `memhier` bench's SharedTiled (global traffic stays unit-stride).
+fn shared_tiled_kernel() -> KernelIr {
+    let mut k = KernelBuilder::new("shared_tiled");
+    let a = k.param(Type::I64);
+    let _b = k.param(Type::I64);
+    let c = k.param(Type::I64);
+    let _sum = k.param(Type::I64);
+    let _n = k.param(Type::I32);
+    let tile = k.shared_alloc(u64::from(GOLDEN_BLOCK) * 8);
+    let tid = k.thread_id_x();
+    let i = k.global_thread_id_x();
+    let av = k.ld_elem(Space::Global, Type::F64, a, i);
+    k.st_elem(Space::Shared, tile, tid, av);
+    k.barrier();
+    let rt = k.bin(BinOp::Sub, Value::I32(GOLDEN_BLOCK as i32 - 1), tid);
+    let v = k.ld_elem(Space::Shared, Type::F64, tile, rt);
+    k.st_elem(Space::Global, c, i, v);
+    k.finish()
+}
+
+const GOLDEN_N: usize = 2048;
+const GOLDEN_BLOCK: u32 = 256;
+
+/// One traced launch of a `(a, b, c, sum, n)` kernel at `GOLDEN_N`.
+fn golden_stats(spec: DeviceSpec, kernel: &KernelIr, exec: ExecTier, mode: ReplayMode) -> MemStats {
+    use many_models::babelstream::{START_A, START_B, START_C};
+    let dev: Arc<Device> = Device::new(spec);
+    dev.set_exec_tier(exec);
+    dev.set_tracing(true);
+    dev.set_replay_mode(mode);
+    let n = GOLDEN_N;
+    let da = dev.alloc_copy_f64(&vec![START_A; n]).unwrap();
+    let db = dev.alloc_copy_f64(&vec![START_B; n]).unwrap();
+    let dc = dev.alloc_copy_f64(&vec![START_C; n]).unwrap();
+    let ds = dev.alloc_copy_f64(&[0.0]).unwrap();
+    let args = [
+        KernelArg::Ptr(da),
+        KernelArg::Ptr(db),
+        KernelArg::Ptr(dc),
+        KernelArg::Ptr(ds),
+        KernelArg::I32(n as i32),
+    ];
+    let report =
+        dev.launch_kernel(kernel, LaunchConfig::linear(n as u64, GOLDEN_BLOCK), &args).unwrap();
+    report.mem.expect("traced launch must produce mem stats")
+}
+
+/// `MemStats` of every `memhier` bench shape on every vendor at
+/// `GOLDEN_N`, recorded from the cache model as it stood before its
+/// victim scan, writeback emission and coalescer fast path were
+/// rewritten. Streaming ≡ buffered cannot catch a change to the cache
+/// model itself (both pipelines run it); these constants can. Field
+/// order: requests, transactions, mshr_merges, l1_hits, l1_misses,
+/// l2_accesses, l2_hits, l2_misses, dram_sectors, dram_bytes,
+/// bytes_requested, bytes_covered.
+const GOLDEN: [(&str, &str, [u64; 12]); 18] = [
+    ("NVIDIA", "Copy", [4096, 1024, 3072, 0, 1024, 1024, 0, 1024, 1024, 32768, 32768, 32768]),
+    ("NVIDIA", "Mul", [4096, 1024, 3072, 0, 1024, 1024, 0, 1024, 1024, 32768, 32768, 32768]),
+    ("NVIDIA", "Add", [6144, 1536, 4608, 0, 1536, 1536, 0, 1536, 1536, 49152, 49152, 49152]),
+    ("NVIDIA", "Triad", [6144, 1536, 4608, 0, 1536, 1536, 0, 1536, 1536, 49152, 49152, 49152]),
+    (
+        "NVIDIA",
+        "Gather128",
+        [6144, 3072, 3072, 1792, 1280, 1280, 224, 1056, 1056, 33792, 49152, 49152],
+    ),
+    (
+        "NVIDIA",
+        "SharedTiled",
+        [4096, 1024, 3072, 0, 1024, 1024, 0, 1024, 1024, 32768, 32768, 32768],
+    ),
+    ("AMD", "Copy", [4096, 512, 3584, 0, 512, 512, 0, 512, 512, 32768, 32768, 32768]),
+    ("AMD", "Mul", [4096, 512, 3584, 0, 512, 512, 0, 512, 512, 32768, 32768, 32768]),
+    ("AMD", "Add", [6144, 768, 5376, 0, 768, 768, 0, 768, 768, 49152, 49152, 49152]),
+    ("AMD", "Triad", [6144, 768, 5376, 0, 768, 768, 0, 768, 768, 49152, 49152, 49152]),
+    ("AMD", "Gather128", [6144, 1536, 4608, 768, 768, 768, 224, 544, 544, 34816, 49152, 40960]),
+    ("AMD", "SharedTiled", [4096, 512, 3584, 0, 512, 512, 0, 512, 512, 32768, 32768, 32768]),
+    ("Intel", "Copy", [4096, 512, 3584, 0, 512, 512, 0, 512, 512, 32768, 32768, 32768]),
+    ("Intel", "Mul", [4096, 512, 3584, 0, 512, 512, 0, 512, 512, 32768, 32768, 32768]),
+    ("Intel", "Add", [6144, 768, 5376, 0, 768, 768, 0, 768, 768, 49152, 49152, 49152]),
+    ("Intel", "Triad", [6144, 768, 5376, 0, 768, 768, 0, 768, 768, 49152, 49152, 49152]),
+    ("Intel", "Gather128", [6144, 2560, 3584, 1792, 768, 768, 224, 544, 544, 34816, 49152, 49152]),
+    ("Intel", "SharedTiled", [4096, 512, 3584, 0, 512, 512, 0, 512, 512, 32768, 32768, 32768]),
+];
+
+#[test]
+fn memstats_match_the_golden_pins() {
+    let stream = many_models::babelstream::adapters::stream_kernels();
+    let shapes: [(&str, KernelIr); 6] = [
+        ("Copy", stream[0].clone()),
+        ("Mul", stream[1].clone()),
+        ("Add", stream[2].clone()),
+        ("Triad", stream[3].clone()),
+        ("Gather128", gather128_kernel()),
+        ("SharedTiled", shared_tiled_kernel()),
+    ];
+    let vendors = ["NVIDIA", "AMD", "Intel"].into_iter().zip(DeviceSpec::presets());
+    let mut golden = GOLDEN.iter();
+    for (vendor, spec) in vendors {
+        for (shape, kernel) in &shapes {
+            let &(gv, gs, f) = golden.next().expect("one pin per vendor x shape");
+            assert_eq!((gv, gs), (vendor, *shape), "pin table out of order");
+            let want = MemStats {
+                requests: f[0],
+                transactions: f[1],
+                mshr_merges: f[2],
+                l1_hits: f[3],
+                l1_misses: f[4],
+                l2_accesses: f[5],
+                l2_hits: f[6],
+                l2_misses: f[7],
+                dram_sectors: f[8],
+                dram_bytes: f[9],
+                bytes_requested: f[10],
+                bytes_covered: f[11],
+            };
+            for exec in [ExecTier::Scalar, ExecTier::Vectorized] {
+                for mode in [ReplayMode::Streaming, ReplayMode::Buffered] {
+                    let got = golden_stats(spec.clone(), kernel, exec, mode);
+                    assert_eq!(got, want, "{vendor}/{shape} ({exec:?}, {mode:?})");
+                }
+            }
         }
     }
 }
