@@ -21,7 +21,8 @@
 //!   the production budget (geomean ≤ 1.5× on full runs, ≤ 3× on smoke
 //!   where tiny launches amplify fixed costs), and on hosts with ≥ 4
 //!   cores the streaming pipeline beats the buffered serial replay by
-//!   ≥ 3× on trace-dominated launches.
+//!   ≥ 3× on trace-dominated launches. Hosts with fewer than 4 cores
+//!   get a 4× backstop instead of the budget.
 //!
 //! Usage: `cargo run --release -p mcmm-bench --bin memhier [--] [--smoke]
 //! [--n N] [--json]`. A full run (no `--smoke`) rewrites
@@ -398,12 +399,14 @@ fn main() {
     // Tiny smoke launches amplify fixed per-launch costs, so the smoke
     // budget is looser; the production claim is the full-size one. Both
     // claims assume cores to hide the replay behind: with fewer than 4
-    // the whole pipeline shares the execution core and the budget is
-    // only a regression backstop against the serial replay cost.
+    // the L1 stage shares the execution cores and the L2 stage runs
+    // serially after them, so the budget there is a backstop — still
+    // tight enough that a return to the pre-rewrite victim scan and
+    // coalescer (≈ 5x on a 2-core host) fails it.
     let overhead_budget = match (smoke, host_cores >= 4) {
         (false, true) => 1.5,
         (true, true) => 3.0,
-        (_, false) => 12.0,
+        (_, false) => 4.0,
     };
     if overhead_geomean > overhead_budget {
         eprintln!(

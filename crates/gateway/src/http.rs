@@ -10,8 +10,7 @@
 //! refused with `411 Length Required` — every client this gateway serves
 //! (including its own [`crate::client`]) sends measured bodies.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, Read, Write};
 
 /// Hard cap on request body size; larger submissions are refused with
 /// `413 Payload Too Large` before any allocation of the full body.
@@ -60,18 +59,35 @@ pub enum ParseError {
     LengthRequired,
     /// Body or head larger than the caps.
     TooLarge,
-    /// Socket error mid-request.
+    /// Socket error mid-request (a head that is not UTF-8 counts as
+    /// one).
     Io(std::io::Error),
 }
 
-/// Read one request from a keep-alive connection.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ParseError> {
+impl ParseError {
+    /// The status and message the server answers with before closing,
+    /// or `None` when the peer is gone and nothing can be answered.
+    pub fn reply(&self) -> Option<(u16, &str)> {
+        match self {
+            ParseError::Eof | ParseError::Io(_) => None,
+            ParseError::Bad(msg) => Some((400, msg)),
+            ParseError::LengthRequired => Some((411, "request bodies must carry content-length")),
+            ParseError::TooLarge => Some((413, "request too large")),
+        }
+    }
+}
+
+/// Read one request from a keep-alive connection. Reads at most
+/// `MAX_HEAD_BYTES + 1` bytes of head, so a peer that never sends a
+/// newline is refused instead of buffered.
+pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ParseError> {
     let mut head = String::new();
-    let mut line = String::new();
+    let mut line = Vec::new();
     // Request line + headers, CRLF-terminated, blank line ends the head.
     loop {
         line.clear();
-        let n = reader.read_line(&mut line).map_err(ParseError::Io)?;
+        let budget = (MAX_HEAD_BYTES + 1 - head.len()) as u64;
+        let n = reader.take(budget).read_until(b'\n', &mut line).map_err(ParseError::Io)?;
         if n == 0 {
             return if head.is_empty() {
                 Err(ParseError::Eof)
@@ -82,10 +98,12 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ParseE
         if head.len() + line.len() > MAX_HEAD_BYTES {
             return Err(ParseError::TooLarge);
         }
+        let line = std::str::from_utf8(&line)
+            .map_err(|e| ParseError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
         if line == "\r\n" || line == "\n" {
             break;
         }
-        head.push_str(&line);
+        head.push_str(line);
     }
     let mut lines = head.lines();
     let request_line = lines.next().ok_or_else(|| ParseError::Bad("empty head".into()))?;
@@ -173,8 +191,10 @@ impl Response {
         self
     }
 
-    /// Serialize onto a stream. `close` adds `Connection: close`.
-    pub fn write_to(&self, stream: &mut TcpStream, close: bool) -> std::io::Result<()> {
+    /// Serialize onto a stream. `close` adds `Connection: close`. A
+    /// fixed-length response goes out in one write — head and body in
+    /// one buffer — so with `TCP_NODELAY` it is one segment, not two.
+    pub fn write_to<W: Write>(&self, stream: &mut W, close: bool) -> std::io::Result<()> {
         let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, reason(self.status));
         for (k, v) in &self.headers {
             head.push_str(&format!("{k}: {v}\r\n"));
@@ -195,8 +215,9 @@ impl Response {
             stream.write_all(b"0\r\n\r\n")?;
         } else {
             head.push_str(&format!("content-length: {}\r\n\r\n", self.body.len()));
-            stream.write_all(head.as_bytes())?;
-            stream.write_all(&self.body)?;
+            let mut out = head.into_bytes();
+            out.extend_from_slice(&self.body);
+            stream.write_all(&out)?;
         }
         stream.flush()
     }
@@ -221,6 +242,7 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
     use std::net::{TcpListener, TcpStream};
 
     /// Run a parser against raw bytes by pushing them through a real

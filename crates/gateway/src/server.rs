@@ -9,7 +9,7 @@
 
 use crate::api::ErrorBody;
 use crate::gateway::Gateway;
-use crate::http::{read_request, ParseError, Request, Response};
+use crate::http::{read_request, Request, Response};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -93,13 +93,10 @@ fn serve_connection(stream: TcpStream, gateway: &Gateway, stop: &AtomicBool) {
                 let close = req.wants_close();
                 (dispatch(gateway, &req), close)
             }
-            Err(ParseError::Eof) => return,
-            Err(ParseError::LengthRequired) => {
-                (error_response(411, "request bodies must carry content-length", None), true)
+            Err(e) => {
+                let Some((status, message)) = e.reply() else { return };
+                (error_response(status, message, None), true)
             }
-            Err(ParseError::TooLarge) => (error_response(413, "request too large", None), true),
-            Err(ParseError::Bad(msg)) => (error_response(400, &msg, None), true),
-            Err(ParseError::Io(_)) => return,
         };
         if response.write_to(&mut write_half, close).is_err() || close {
             return;

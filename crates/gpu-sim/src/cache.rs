@@ -9,9 +9,21 @@
 //!
 //! The model is purely functional on addresses: no data is stored
 //! (correctness lives in [`crate::mem`]; this layer only counts). It is
-//! deterministic — LRU ticks advance in replay order and eviction
-//! writebacks come out sorted — so the same trace always yields the same
-//! statistics.
+//! deterministic, so the same trace always yields the same statistics:
+//!
+//! * **Victim rule.** A miss evicts the first never-used or stale way of
+//!   the set; if every way is live, the first way with the oldest LRU
+//!   tick (ticks are unique, so the oldest is unique too). One pass over
+//!   the set's tick array, stopping at the first stale way.
+//! * **Writeback order.** An eviction reports the victim's dirty sectors
+//!   as its line tag plus a dirty-sector mask ([`Writebacks`]), which
+//!   iterates in ascending sector order; [`SectoredCache::flush_dirty`]
+//!   emits every dirty sector in ascending address order. The level
+//!   below replays them in that order, so its LRU state depends on it.
+//! * **Zero-page arrays.** Every line array starts as zeros, so building
+//!   a multi-megabyte L2 touches no memory until lines are used. Tag 0
+//!   is a real line address, but validity is decided by the tick alone
+//!   (see [`SectoredCache`]), and a never-used way has tick 0.
 //!
 //! Write policy is decided by the caller per level:
 //! * write-allocate (NVIDIA/Intel L1, both L2s): a store miss fills the
@@ -23,16 +35,46 @@
 //!   the cache; the caller forwards the write to the next level.
 
 /// Result of driving one sector request through a cache level.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheOutcome {
     /// The sector was already resident.
     pub hit: bool,
     /// The sector had to be fetched from the level below.
     pub filled: bool,
-    /// Dirty sectors evicted by this access (sector-aligned addresses),
-    /// which the caller must write to the level below.
-    pub writebacks: Vec<u64>,
+    /// Dirty sectors evicted by this access, which the caller must
+    /// write to the level below.
+    pub writebacks: Writebacks,
 }
+
+/// The dirty sectors of one evicted line: its line-aligned address and
+/// a dirty-sector mask. Iterates the sector-aligned addresses in
+/// ascending order; empty when the victim was clean or unused.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Writebacks {
+    line: u64,
+    mask: u64,
+    sector_shift: u32,
+}
+
+impl Iterator for Writebacks {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.mask == 0 {
+            return None;
+        }
+        let sector = self.mask.trailing_zeros();
+        self.mask &= self.mask - 1;
+        Some(self.line + (u64::from(sector) << self.sector_shift))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.mask.count_ones() as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Writebacks {}
 
 /// One cache level. See the module docs for the policy model.
 ///
@@ -46,13 +88,12 @@ pub struct CacheOutcome {
 /// Line validity is "tick ≥ floor": `ticks` holds the LRU clock at last
 /// touch, and [`reset`](Self::reset) simply raises `floor` past every
 /// existing tick — O(1) invalidation of the whole array with no writes,
-/// and stale lines (tick < floor) sort exactly like never-used ways in
-/// victim selection.
+/// and stale lines (tick < floor) are evicted exactly like never-used
+/// ways.
 #[derive(Debug, Clone)]
 pub struct SectoredCache {
     line_bytes: u64,
     sector_bytes: u64,
-    sectors_per_line: u32,
     sets: u64,
     /// `log2(line_bytes)` / `log2(sector_bytes)` / `sets - 1` — the
     /// probe path runs per replayed sector, so indexing must be
@@ -61,7 +102,7 @@ pub struct SectoredCache {
     sector_shift: u32,
     set_mask: u64,
     ways: usize,
-    /// Line-aligned base address per line; `u64::MAX` = never used.
+    /// Line-aligned base address per line; meaningful only while live.
     tags: Vec<u64>,
     /// LRU clock at last touch per line; `< floor` = invalid.
     ticks: Vec<u64>,
@@ -73,6 +114,11 @@ pub struct SectoredCache {
     tick: u64,
     /// Validity threshold: only lines touched at or after it exist.
     floor: u64,
+    /// The line the previous access touched. A live tag is resident in
+    /// at most one way, so when this line still holds the probed tag
+    /// it is the answer, and consecutive sectors of one line (a
+    /// coalesced warp's common case) skip the set scan.
+    last: usize,
     /// Indices of lines that became dirty since the last flush/reset,
     /// so [`flush_dirty`] walks the dirty set instead of every line.
     /// May hold duplicates or since-cleaned indices; the flush rechecks.
@@ -97,84 +143,99 @@ impl SectoredCache {
         Self {
             line_bytes,
             sector_bytes,
-            sectors_per_line: (line_bytes / sector_bytes) as u32,
             sets,
             line_shift: line_bytes.trailing_zeros(),
             sector_shift: sector_bytes.trailing_zeros(),
             set_mask: sets - 1,
             ways,
-            tags: vec![u64::MAX; lines],
+            tags: vec![0; lines],
             ticks: vec![0; lines],
             valid: vec![0; lines],
             dirty: vec![0; lines],
             tick: 0,
             floor: 1,
+            last: 0,
             dirty_lines: Vec::new(),
         }
     }
 
     /// Whether the line at `i` is currently valid (touched at or after
     /// the validity floor).
+    #[inline]
     fn live(&self, i: usize) -> bool {
         self.ticks[i] >= self.floor
     }
 
-    fn set_range(&self, addr: u64) -> std::ops::Range<usize> {
-        let set = ((addr >> self.line_shift) & self.set_mask) as usize;
-        set * self.ways..(set + 1) * self.ways
+    /// Index of the first way of the set `addr` maps to.
+    #[inline]
+    fn set_start(&self, addr: u64) -> usize {
+        ((addr >> self.line_shift) & self.set_mask) as usize * self.ways
     }
 
+    #[inline]
     fn sector_bit(&self, addr: u64) -> (u64, u64) {
         let tag = addr & !(self.line_bytes - 1);
         let idx = (addr - tag) >> self.sector_shift;
-        debug_assert!(idx < u64::from(self.sectors_per_line));
+        debug_assert!(idx < self.line_bytes >> self.sector_shift);
         (tag, 1u64 << idx)
     }
 
     /// Locate the way holding `tag` within the set, if resident. Scans
     /// only the tag array (the probe's hot cache lines); the tick check
-    /// runs on tag match alone, so a stale leftover of the same tag
-    /// from before a reset reads as a miss.
-    fn find(&self, range: std::ops::Range<usize>, tag: u64) -> Option<usize> {
+    /// runs on tag match alone, so a stale leftover of the same tag —
+    /// or a never-used way, whose tag is 0 — reads as a miss.
+    #[inline]
+    fn find(&self, start: usize, tag: u64) -> Option<usize> {
         let floor = self.floor;
-        self.tags[range.clone()]
-            .iter()
-            .enumerate()
-            .position(|(o, &t)| t == tag && self.ticks[range.start + o] >= floor)
-            .map(|o| range.start + o)
+        if self.tags[self.last] == tag && self.ticks[self.last] >= floor {
+            return Some(self.last);
+        }
+        (start..)
+            .zip(&self.tags[start..start + self.ways])
+            .find(|&(i, &t)| t == tag && self.ticks[i] >= floor)
+            .map(|(i, _)| i)
     }
 
-    /// Evict the LRU way of the set and return its dirty sectors.
-    /// Stale lines count as empty (tick 0), keeping victim choice
-    /// identical to a freshly-built cache.
-    fn evict_lru(&mut self, range: std::ops::Range<usize>) -> (usize, Vec<u64>) {
-        let victim = range
-            .clone()
-            .min_by_key(|&i| if self.live(i) { (true, self.ticks[i]) } else { (false, 0) })
-            .expect("cache sets are never empty");
-        let mut writebacks = Vec::new();
-        if self.live(victim) && self.dirty[victim] != 0 {
-            for s in 0..self.sectors_per_line {
-                if self.dirty[victim] & (1u64 << s) != 0 {
-                    writebacks.push(self.tags[victim] + (u64::from(s) << self.sector_shift));
-                }
+    /// Pick the set's victim (see the module docs' victim rule) and
+    /// report its dirty sectors. The caller overwrites the way with
+    /// [`fill_line`](Self::fill_line).
+    #[inline]
+    fn evict_lru(&self, start: usize) -> (usize, Writebacks) {
+        let floor = self.floor;
+        let mut victim = start;
+        let mut oldest = u64::MAX;
+        for (i, &t) in (start..).zip(&self.ticks[start..start + self.ways]) {
+            if t < floor {
+                // Stale or never used: nothing to write back.
+                return (i, Writebacks::default());
+            }
+            if t < oldest {
+                (victim, oldest) = (i, t);
             }
         }
-        self.tags[victim] = u64::MAX;
-        self.ticks[victim] = 0;
-        (victim, writebacks)
+        let line = self.tags[victim];
+        (victim, Writebacks { line, mask: self.dirty[victim], sector_shift: self.sector_shift })
     }
 
     /// Install a line at `i` (previously evicted or stale).
+    #[inline]
     fn fill_line(&mut self, i: usize, tag: u64, valid: u64, dirty: u64) {
         self.tags[i] = tag;
-        self.ticks[i] = self.tick;
+        self.touch(i);
         self.valid[i] = valid;
         self.dirty[i] = dirty;
     }
 
+    /// Mark the line at `i` most recently used.
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        self.ticks[i] = self.tick;
+        self.last = i;
+    }
+
     /// Record that the line at `i` is about to gain its first dirty
     /// sector since allocation or the last flush.
+    #[inline]
     fn note_dirty(&mut self, i: usize) {
         if self.dirty[i] == 0 {
             self.dirty_lines.push(i as u32);
@@ -182,19 +243,20 @@ impl SectoredCache {
     }
 
     /// Drive a read of one sector (sector-aligned address).
+    #[inline]
     pub fn read(&mut self, sector: u64) -> CacheOutcome {
         self.tick += 1;
         let (tag, bit) = self.sector_bit(sector);
-        let range = self.set_range(sector);
-        if let Some(i) = self.find(range.clone(), tag) {
-            self.ticks[i] = self.tick;
+        let start = self.set_start(sector);
+        if let Some(i) = self.find(start, tag) {
+            self.touch(i);
             if self.valid[i] & bit != 0 {
                 return CacheOutcome { hit: true, ..Default::default() };
             }
             self.valid[i] |= bit;
             return CacheOutcome { filled: true, ..Default::default() };
         }
-        let (victim, writebacks) = self.evict_lru(range);
+        let (victim, writebacks) = self.evict_lru(start);
         self.fill_line(victim, tag, bit, 0);
         CacheOutcome { filled: true, writebacks, ..Default::default() }
     }
@@ -203,12 +265,13 @@ impl SectoredCache {
     /// every byte of the sector; `write_alloc` selects the allocate
     /// policy (see module docs). With `write_alloc = false` a miss
     /// leaves the cache untouched and the caller forwards the write.
+    #[inline]
     pub fn write(&mut self, sector: u64, full_cover: bool, write_alloc: bool) -> CacheOutcome {
         self.tick += 1;
         let (tag, bit) = self.sector_bit(sector);
-        let range = self.set_range(sector);
-        if let Some(i) = self.find(range.clone(), tag) {
-            self.ticks[i] = self.tick;
+        let start = self.set_start(sector);
+        if let Some(i) = self.find(start, tag) {
+            self.touch(i);
             if self.valid[i] & bit != 0 {
                 self.note_dirty(i);
                 self.dirty[i] |= bit;
@@ -228,7 +291,7 @@ impl SectoredCache {
         if !write_alloc {
             return CacheOutcome::default();
         }
-        let (victim, writebacks) = self.evict_lru(range);
+        let (victim, writebacks) = self.evict_lru(start);
         self.fill_line(victim, tag, bit, bit);
         self.dirty_lines.push(victim as u32);
         CacheOutcome { filled: !full_cover, writebacks, ..Default::default() }
@@ -237,12 +300,12 @@ impl SectoredCache {
     /// Write-through assist: refresh a resident copy on a store that is
     /// served by the level below. Returns whether the sector was
     /// resident (and is now up to date, still clean).
+    #[inline]
     pub fn update_if_present(&mut self, sector: u64) -> bool {
         self.tick += 1;
         let (tag, bit) = self.sector_bit(sector);
-        let range = self.set_range(sector);
-        if let Some(i) = self.find(range, tag) {
-            self.ticks[i] = self.tick;
+        if let Some(i) = self.find(self.set_start(sector), tag) {
+            self.touch(i);
             return self.valid[i] & bit != 0;
         }
         false
@@ -283,37 +346,38 @@ impl SectoredCache {
             && self.sets == fresh_sets
     }
 
-    /// Flush every dirty sector, returning their sorted addresses. Used
-    /// at block exit (L1 → L2) and launch exit (L2 → DRAM). Walks only
-    /// the lines that dirtied since the last flush/reset, not the whole
-    /// array.
-    pub fn flush_dirty(&mut self) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut dl = std::mem::take(&mut self.dirty_lines);
-        for &idx in &dl {
-            let i = idx as usize;
-            // Recheck: the entry may be stale (line evicted or already
-            // flushed via a duplicate index).
-            if !self.live(i) || self.dirty[i] == 0 {
-                continue;
-            }
-            for s in 0..self.sectors_per_line {
-                if self.dirty[i] & (1u64 << s) != 0 {
-                    out.push(self.tags[i] + (u64::from(s) << self.sector_shift));
-                }
-            }
-            self.dirty[i] = 0;
+    /// Clean every dirty sector, passing each sector-aligned address to
+    /// `emit` in ascending order. Used at block exit (L1 → L2) and
+    /// launch exit (L2 → DRAM). Walks only the lines that dirtied since
+    /// the last flush/reset, sorted by line address — lines are
+    /// disjoint, so line order then sector order is address order.
+    pub fn flush_dirty(&mut self, mut emit: impl FnMut(u64)) {
+        let mut lines = std::mem::take(&mut self.dirty_lines);
+        // Entries may be stale (line evicted since); a duplicate index
+        // finds its mask already cleared and emits nothing.
+        lines.retain(|&i| self.live(i as usize));
+        lines.sort_unstable_by_key(|&i| self.tags[i as usize]);
+        for &i in &lines {
+            let i = i as usize;
+            let mask = std::mem::take(&mut self.dirty[i]);
+            Writebacks { line: self.tags[i], mask, sector_shift: self.sector_shift }
+                .for_each(&mut emit);
         }
-        dl.clear();
-        self.dirty_lines = dl;
-        out.sort_unstable();
-        out
+        lines.clear();
+        self.dirty_lines = lines;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every sector a flush emits, in emission order.
+    fn flushed(c: &mut SectoredCache) -> Vec<u64> {
+        let mut out = Vec::new();
+        c.flush_dirty(|sector| out.push(sector));
+        out
+    }
 
     #[test]
     fn read_miss_then_hit() {
@@ -334,7 +398,7 @@ mod tests {
         assert!(!w.hit && !w.filled);
         // The sector is now resident and dirty; a read hits.
         assert!(c.read(0).hit);
-        assert_eq!(c.flush_dirty(), vec![0]);
+        assert_eq!(flushed(&mut c), vec![0]);
     }
 
     #[test]
@@ -342,14 +406,14 @@ mod tests {
         let mut c = SectoredCache::new(1 << 10, 128, 4, 32);
         let w = c.write(32, false, true);
         assert!(!w.hit && w.filled);
-        assert_eq!(c.flush_dirty(), vec![32]);
+        assert_eq!(flushed(&mut c), vec![32]);
     }
 
     #[test]
     fn no_allocate_store_miss_leaves_cache_untouched() {
         let mut c = SectoredCache::new(1 << 10, 64, 4, 64);
         let w = c.write(0, true, false);
-        assert!(!w.hit && !w.filled && w.writebacks.is_empty());
+        assert!(!w.hit && !w.filled && w.writebacks.len() == 0);
         assert!(!c.read(0).hit, "store must not have allocated");
     }
 
@@ -362,7 +426,7 @@ mod tests {
         assert!(!c.write(128, true, true).filled);
         // Third distinct line in the same set evicts LRU (addr 0).
         let out = c.read(256);
-        assert_eq!(out.writebacks, vec![0]);
+        assert_eq!(out.writebacks.collect::<Vec<_>>(), vec![0]);
         // Address 0 must now miss again.
         assert!(!c.read(0).hit);
     }
@@ -383,7 +447,7 @@ mod tests {
                     hits += 1;
                 }
             }
-            (hits, c.flush_dirty())
+            (hits, flushed(c))
         };
         assert_eq!(outcomes(&mut reused), outcomes(&mut fresh));
         assert!(reused.geometry_matches(4 << 10, 128, 4, 32));
@@ -415,7 +479,7 @@ mod tests {
                     hits += 1;
                 }
             }
-            (hits, c.flush_dirty())
+            (hits, flushed(&mut c))
         };
         assert_eq!(drive(), drive());
     }
@@ -545,7 +609,7 @@ mod tests {
 
     /// A cache outcome as `(hit, filled, writebacks in emission order)`.
     fn outcome(o: CacheOutcome) -> (bool, bool, Vec<u64>) {
-        (o.hit, o.filled, o.writebacks)
+        (o.hit, o.filled, o.writebacks.collect())
     }
 
     proptest::proptest! {
@@ -586,11 +650,11 @@ mod tests {
                         oracle.reset();
                     }
                     _ => proptest::prop_assert_eq!(
-                        cache.flush_dirty(), oracle.flush_dirty(), "step {} flush", step
+                        flushed(&mut cache), oracle.flush_dirty(), "step {} flush", step
                     ),
                 }
             }
-            proptest::prop_assert_eq!(cache.flush_dirty(), oracle.flush_dirty());
+            proptest::prop_assert_eq!(flushed(&mut cache), oracle.flush_dirty());
         }
     }
 }

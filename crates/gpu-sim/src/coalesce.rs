@@ -16,10 +16,22 @@
 //! (write-combining, no fill needed) from partial ones.
 //!
 //! [`coalesce_into`] is the streaming pipeline's allocation-free entry
-//! point: it reuses caller-owned buffers (one entry per lane, sorted
-//! unstably by (warp, sector) and merged in place of the old
-//! `BTreeMap`), so a hot replay loop performs no per-access heap
-//! allocation once the buffers reach their high-water mark.
+//! point. Its output is ordered by (warp, sector), and it gets there in
+//! one of two ways:
+//!
+//! * **One pass** (the common case): loads and stores arrive in
+//!   ascending lane order, and for unit-stride, strided and broadcast
+//!   addressing the sector does not decrease within a warp either, so
+//!   equal (warp, sector) keys are already adjacent. One walk over the
+//!   lanes merges each run into a request — no per-lane entry, no sort.
+//! * **Sort fallback**, taken at the first lane whose key is smaller
+//!   than its predecessor's (atomics, which are recorded in warp
+//!   round-robin order; descending or gathered addresses): one
+//!   `(warp, sector, cover)` entry per lane in a caller-owned buffer,
+//!   sorted unstably by (warp, sector) and merged.
+//!
+//! Both produce the same requests for every input, and neither
+//! allocates once the buffers reach their high-water mark.
 
 use crate::trace::AccessView;
 
@@ -55,8 +67,9 @@ impl SectorReq {
     }
 }
 
-/// Reusable buffers for [`coalesce_into`]: one `(warp, sector, cover)`
-/// entry per lane, recycled across accesses at high-water capacity.
+/// Reusable buffers for [`coalesce_into`]'s sort fallback: one
+/// `(warp, sector, cover)` entry per lane, recycled across accesses at
+/// high-water capacity.
 #[derive(Debug, Default)]
 pub struct CoalesceScratch {
     entries: Vec<(u32, u64, u64)>,
@@ -68,12 +81,12 @@ pub struct CoalesceScratch {
 ///
 /// Lanes are grouped by `lane / warp_width`; within a warp, accesses to
 /// the same sector merge into one [`SectorReq`]. Results are ordered by
-/// (warp, sector address) — the unstable sort key is exactly the merge
-/// key, so the output order matches the original `BTreeMap` iteration
-/// order and keeps the replay deterministic regardless of lane order in
-/// the trace. Accesses are naturally aligned and at most 8 bytes wide,
-/// and sectors are ≥ 32 bytes, so a single lane access never spans two
-/// sectors.
+/// (warp, sector address) — the order of the original `BTreeMap`
+/// iteration — which keeps the replay deterministic regardless of lane
+/// order in the trace. Accesses are naturally aligned and at most 8
+/// bytes wide, and sectors are ≥ 32 bytes, so a single lane access
+/// never spans two sectors.
+#[inline]
 pub fn coalesce_into(
     access: &AccessView<'_>,
     warp_width: u32,
@@ -83,25 +96,58 @@ pub fn coalesce_into(
 ) {
     debug_assert!(sector_bytes.is_power_of_two() && (32..=64).contains(&sector_bytes));
     let warp_width = warp_width.max(1);
-    // Every real warp width is a power of two; this loop runs per traced
+    // Every real warp width is a power of two; this runs per traced
     // lane, so the division must compile to a shift there.
     let warp_shift =
         if warp_width.is_power_of_two() { Some(warp_width.trailing_zeros()) } else { None };
-    let entries = &mut scratch.entries;
-    entries.clear();
-    out.clear();
-    for (&lane, &addr) in access.lanes.iter().zip(access.addrs) {
+    let width = access.width;
+    let lane_bits = if width >= 64 { u64::MAX } else { (1u64 << width) - 1 };
+    let key = |lane: u32, addr: u64| {
         let warp = match warp_shift {
             Some(s) => lane >> s,
             None => lane / warp_width,
         };
         let sector = addr & !(sector_bytes - 1);
         let offset = addr - sector;
-        debug_assert!(offset + u64::from(access.width) <= sector_bytes);
-        let bits =
-            if access.width >= 64 { u64::MAX } else { ((1u64 << access.width) - 1) << offset };
-        entries.push((warp, sector, bits));
+        debug_assert!(offset + u64::from(width) <= sector_bytes);
+        (warp, sector, lane_bits << offset)
+    };
+    out.clear();
+    let mut lanes = access.lanes.iter().zip(access.addrs);
+    let Some((&lane, &addr)) = lanes.next() else { return };
+    // The open request's key and contents live in registers; it is
+    // pushed when the next key differs.
+    let (mut warp, mut sector, mut cover) = key(lane, addr);
+    let mut count = 1;
+    for (&lane, &addr) in lanes {
+        let (w, s, bits) = key(lane, addr);
+        if (w, s) == (warp, sector) {
+            cover |= bits;
+            count += 1;
+            continue;
+        }
+        if (w, s) < (warp, sector) {
+            // The key went down: equal keys may not be adjacent.
+            return sort_and_merge(access, key, scratch, out);
+        }
+        out.push(SectorReq { addr: sector, cover, lanes: count });
+        (warp, sector, cover, count) = (w, s, bits, 1);
     }
+    out.push(SectorReq { addr: sector, cover, lanes: count });
+}
+
+/// The fallback for lane orders whose (warp, sector) key decreases: one
+/// entry per lane, sorted unstably by the merge key, then merged.
+fn sort_and_merge(
+    access: &AccessView<'_>,
+    key: impl Fn(u32, u64) -> (u32, u64, u64),
+    scratch: &mut CoalesceScratch,
+    out: &mut Vec<SectorReq>,
+) {
+    let entries = &mut scratch.entries;
+    entries.clear();
+    out.clear();
+    entries.extend(access.lanes.iter().zip(access.addrs).map(|(&lane, &addr)| key(lane, addr)));
     entries.sort_unstable_by_key(|&(warp, sector, _)| (warp, sector));
     let mut prev: Option<(u32, u64)> = None;
     for &(warp, sector, bits) in entries.iter() {

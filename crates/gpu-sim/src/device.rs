@@ -489,7 +489,7 @@ pub struct Device {
     /// Recycled shared-L2 cache for the streaming replay's launch-exit
     /// stage (its line array runs to megabytes; rebuilding it per
     /// launch would dwarf the replay itself).
-    l2_scratch: Arc<parking_lot::Mutex<Option<crate::cache::SectoredCache>>>,
+    l2_scratch: Arc<parking_lot::Mutex<crate::memhier::L2Scratch>>,
     /// Cumulative memory-hierarchy stats over traced launches, with the
     /// number of traced launches merged in.
     mem_cumulative: crate::counters::MemStatsCell,
@@ -516,7 +516,7 @@ impl Device {
             tracing: AtomicBool::new(resolve_tracing()),
             replay_mode: AtomicU8::new(replay_mode_as_u8(resolve_replay_mode())),
             trace_scratch: Arc::new(ScratchPool::new()),
-            l2_scratch: Arc::new(parking_lot::Mutex::new(None)),
+            l2_scratch: Arc::default(),
             mem_cumulative: crate::counters::MemStatsCell::new(),
             transfers: Mutex::new(TransferStats::default()),
             programs: ProgramCache::new(),

@@ -432,11 +432,7 @@ impl<'a> Interp<'a> {
                     };
                     self.regs[dst.0 as usize].set(lane, v);
                     if tracing {
-                        self.tblock
-                            .as_mut()
-                            .expect("tracing checked")
-                            .trace
-                            .push_lane(lane as u32, a);
+                        self.tblock.as_mut().expect("tracing checked").push_lane(lane as u32, a);
                     }
                     lanes += 1;
                 }
@@ -447,7 +443,6 @@ impl<'a> Interp<'a> {
                     self.tblock
                         .as_mut()
                         .expect("tracing checked")
-                        .trace
                         .end_access(AccessKind::Load, ty.size() as u32);
                 }
             }
@@ -469,11 +464,7 @@ impl<'a> Interp<'a> {
                         }
                     }
                     if tracing {
-                        self.tblock
-                            .as_mut()
-                            .expect("tracing checked")
-                            .trace
-                            .push_lane(lane as u32, a);
+                        self.tblock.as_mut().expect("tracing checked").push_lane(lane as u32, a);
                     }
                     lanes += 1;
                 }
@@ -484,7 +475,6 @@ impl<'a> Interp<'a> {
                     self.tblock
                         .as_mut()
                         .expect("tracing checked")
-                        .trace
                         .end_access(AccessKind::Store, sz as u32);
                 }
             }
@@ -501,11 +491,7 @@ impl<'a> Interp<'a> {
                     let a = self.addr(addr, lane)?;
                     let v = self.eval(value, lane);
                     if tracing {
-                        self.tblock
-                            .as_mut()
-                            .expect("tracing checked")
-                            .trace
-                            .push_lane(lane as u32, a);
+                        self.tblock.as_mut().expect("tracing checked").push_lane(lane as u32, a);
                         width = v.ty().size() as u32;
                     }
                     let old = match space {
@@ -536,7 +522,6 @@ impl<'a> Interp<'a> {
                     self.tblock
                         .as_mut()
                         .expect("tracing checked")
-                        .trace
                         .end_access(AccessKind::Atomic, width);
                 }
             }

@@ -26,7 +26,7 @@
 
 use crate::cache::SectoredCache;
 use crate::coalesce::{coalesce, coalesce_into, CoalesceScratch, SectorReq};
-use crate::trace::{AccessKind, BlockTrace};
+use crate::trace::{AccessKind, AccessView, BlockTrace};
 
 /// Cache-hierarchy geometry and latencies of one device, the
 /// `DeviceSpec::memhier` field. Values for the presets follow public
@@ -222,6 +222,14 @@ struct Shared {
 }
 
 impl Shared {
+    /// Launch exit: dirty L2 sectors drain to DRAM.
+    fn finish(&mut self) -> MemStats {
+        let mut dirty = 0;
+        self.l2.flush_dirty(|_| dirty += 1);
+        self.dram(dirty);
+        self.stats
+    }
+
     fn dram(&mut self, sectors: u64) {
         self.stats.dram_sectors += sectors;
         self.stats.dram_bytes += sectors * self.sector_bytes;
@@ -266,7 +274,7 @@ impl Shared {
 /// This is the retained single-threaded **reference** pipeline: every
 /// block's full trace walks the coalescer, a fresh private L1, and the
 /// shared L2 on one thread, in block-id order. The production path is
-/// the streaming split ([`replay_block_l1`] per block on the workers +
+/// the streaming split ([`L1Stage`] per access on the workers +
 /// [`replay_l2`] once at launch exit); the differential suite pins the
 /// two bit-identical.
 pub fn replay(spec: &MemHierSpec, warp_width: u32, blocks: &[BlockTrace]) -> MemStats {
@@ -291,14 +299,9 @@ pub fn replay(spec: &MemHierSpec, warp_width: u32, blocks: &[BlockTrace]) -> Mem
             }
         }
         // Block exit: dirty L1 sectors drain to L2 as full-sector writes.
-        for sector in l1.flush_dirty() {
-            shared.l2_write(sector, true);
-        }
+        l1.flush_dirty(|sector| shared.l2_write(sector, true));
     }
-    // Launch exit: dirty L2 sectors drain to DRAM.
-    let dirty = shared.l2.flush_dirty().len() as u64;
-    shared.dram(dirty);
-    shared.stats
+    shared.finish()
 }
 
 /// One L2-bound sector request emitted by the per-block L1 stage,
@@ -340,73 +343,54 @@ impl L2Req {
     }
 }
 
-/// What survives a block after its private L1 stage: the (far smaller)
-/// ordered stream of requests that reached L2, plus the block's
-/// contribution to the launch-commutative stat fields.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BlockL2Stream {
-    /// Linear block id — [`replay_l2`] sorts on it for determinism.
-    pub block: u32,
-    /// L2-bound requests in the block's program order.
-    pub reqs: Vec<L2Req>,
-    /// Per-block partial of the L1-stage stat fields (`requests`,
-    /// `transactions`, `mshr_merges`, `l1_*`, `bytes_*`); all u64 sums,
-    /// so accumulation order cannot change the launch totals.
-    pub partial: MemStats,
-}
-
-/// Reusable per-worker buffers for [`replay_block_l1`]: the private L1
-/// (reset, not reallocated, between blocks), and the coalescer's
-/// scratch. Pooled via [`crate::pool::ScratchPool`] so capacity
-/// persists across blocks and launches.
+/// The L1-stage state one worker carries through a block: the private
+/// L1 (reset, not reallocated, between blocks), the coalescer's
+/// buffers, and the block's output — its L2-bound requests in program
+/// order plus its partial of the L1-stage stat fields. Pooled with the
+/// trace arena ([`crate::trace::TraceScratch`]) so every buffer keeps
+/// its capacity across blocks and launches.
 #[derive(Debug, Default)]
-pub struct L1Scratch {
+pub struct L1Stage {
     l1: Option<SectoredCache>,
     coalesce: CoalesceScratch,
     reqs: Vec<SectorReq>,
+    l2_reqs: Vec<L2Req>,
+    /// `requests`, `transactions`, `mshr_merges`, `l1_*` and `bytes_*`
+    /// of the block; all u64 sums, so the launch total does not depend
+    /// on the order blocks finish in.
+    partial: MemStats,
 }
 
-/// The private L1 for one block: recycled and reset when the slot
-/// already holds a matching geometry, rebuilt when the scratch
-/// migrates to a device with a different hierarchy.
-fn l1_for<'a>(slot: &'a mut Option<SectoredCache>, spec: &MemHierSpec) -> &'a mut SectoredCache {
-    let fits = slot.as_ref().is_some_and(|c| {
-        c.geometry_matches(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways, spec.sector_bytes)
-    });
-    if fits {
-        let l1 = slot.as_mut().expect("checked above");
-        l1.reset();
-        l1
-    } else {
-        slot.insert(SectoredCache::new(
-            spec.l1_bytes,
-            spec.l1_line_bytes,
-            spec.l1_ways,
-            spec.sector_bytes,
-        ))
+impl L1Stage {
+    /// Start a block: a reset (or, after a geometry change, rebuilt)
+    /// private L1 and empty outputs.
+    pub fn begin_block(&mut self, spec: &MemHierSpec) {
+        let fits = self.l1.as_ref().is_some_and(|c| {
+            c.geometry_matches(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways, spec.sector_bytes)
+        });
+        match &mut self.l1 {
+            Some(l1) if fits => l1.reset(),
+            slot => {
+                *slot = Some(SectoredCache::new(
+                    spec.l1_bytes,
+                    spec.l1_line_bytes,
+                    spec.l1_ways,
+                    spec.sector_bytes,
+                ))
+            }
+        }
+        self.l2_reqs.clear();
+        self.partial = MemStats::default();
     }
-}
 
-/// The streaming pipeline's per-block stage, run **on the worker
-/// thread at block exit**: coalesce the block's trace and drive it
-/// through a private L1, emitting only the L2-bound request stream.
-/// Mirrors the reference [`replay`] exactly — L1 outcomes depend only
-/// on L1 state, never on L2, so deferring the shared stage cannot
-/// change any count.
-pub fn replay_block_l1(
-    spec: &MemHierSpec,
-    warp_width: u32,
-    trace: &BlockTrace,
-    scratch: &mut L1Scratch,
-) -> BlockL2Stream {
-    let mut out = BlockL2Stream { block: trace.block, ..Default::default() };
-    // Disjoint field borrows: the stream, the partial stats, the L1,
-    // and the coalescer buffers are all live inside the loop.
-    let BlockL2Stream { reqs: l2_reqs, partial: stats, .. } = &mut out;
-    let L1Scratch { l1: l1_slot, coalesce: cscratch, reqs } = scratch;
-    let l1 = l1_for(l1_slot, spec);
-    for access in trace.accesses() {
-        coalesce_into(&access, warp_width, spec.sector_bytes, cscratch, reqs);
+    /// Coalesce one access and drive it through the private L1,
+    /// appending whatever reaches L2. Mirrors the reference [`replay`]
+    /// exactly — L1 outcomes depend only on L1 state, never on L2, so
+    /// deferring the shared stage cannot change any count.
+    pub fn access(&mut self, spec: &MemHierSpec, warp_width: u32, access: &AccessView<'_>) {
+        let Self { l1, coalesce, reqs, l2_reqs, partial: stats } = self;
+        let l1 = l1.as_mut().expect("begin_block installs the block's L1");
+        coalesce_into(access, warp_width, spec.sector_bytes, coalesce, reqs);
         let lanes = access.lanes.len() as u64;
         stats.requests += lanes;
         stats.bytes_requested += lanes * u64::from(access.width);
@@ -415,62 +399,82 @@ pub fn replay_block_l1(
             stats.mshr_merges += u64::from(req.lanes.saturating_sub(1));
             stats.bytes_covered += req.covered_bytes();
             let full = req.full(spec.sector_bytes);
-            match access.kind {
-                AccessKind::Load => {
-                    let o = l1.read(req.addr);
-                    if o.hit {
-                        stats.l1_hits += 1;
-                    } else {
-                        stats.l1_misses += 1;
-                    }
-                    if o.filled {
-                        l2_reqs.push(L2Req::read(req.addr));
-                    }
-                    for wb in o.writebacks {
-                        l2_reqs.push(L2Req::write(wb, true));
-                    }
-                }
+            let o = match access.kind {
+                AccessKind::Load => l1.read(req.addr),
+                AccessKind::Store if spec.l1_write_alloc => l1.write(req.addr, full, true),
                 AccessKind::Store => {
-                    if spec.l1_write_alloc {
-                        let o = l1.write(req.addr, full, true);
-                        if o.hit {
-                            stats.l1_hits += 1;
-                        } else {
-                            stats.l1_misses += 1;
-                        }
-                        if o.filled {
-                            l2_reqs.push(L2Req::read(req.addr));
-                        }
-                        for wb in o.writebacks {
-                            l2_reqs.push(L2Req::write(wb, true));
-                        }
-                    } else {
-                        // Write-through no-allocate: L2 serves the
-                        // store; a resident L1 copy is refreshed in
-                        // place, clean.
-                        l1.update_if_present(req.addr);
-                        stats.l1_misses += 1;
-                        l2_reqs.push(L2Req::write(req.addr, full));
-                    }
+                    // Write-through no-allocate: L2 serves the store; a
+                    // resident L1 copy is refreshed in place, clean.
+                    l1.update_if_present(req.addr);
+                    stats.l1_misses += 1;
+                    l2_reqs.push(L2Req::write(req.addr, full));
+                    continue;
                 }
                 AccessKind::Atomic => {
                     // Atomics bypass L1: read-modify-write in L2.
                     l2_reqs.push(L2Req::write(req.addr, false));
+                    continue;
                 }
+            };
+            if o.hit {
+                stats.l1_hits += 1;
+            } else {
+                stats.l1_misses += 1;
             }
+            if o.filled {
+                l2_reqs.push(L2Req::read(req.addr));
+            }
+            l2_reqs.extend(o.writebacks.map(|wb| L2Req::write(wb, true)));
         }
     }
-    // Block exit: dirty L1 sectors drain to L2 as full-sector writes.
-    for sector in l1.flush_dirty() {
-        l2_reqs.push(L2Req::write(sector, true));
+
+    /// Block exit: dirty L1 sectors drain to L2 as full-sector writes.
+    /// Returns the block's L2-bound requests and stat partial.
+    pub fn finish_block(&mut self) -> (&[L2Req], MemStats) {
+        let Self { l1, l2_reqs, .. } = self;
+        if let Some(l1) = l1 {
+            l1.flush_dirty(|sector| l2_reqs.push(L2Req::write(sector, true)));
+        }
+        (l2_reqs, self.partial)
     }
-    out
 }
 
-/// The shared L2 for one launch: recycled from the device-owned `slot`
-/// when the geometry matches (its line array runs to megabytes —
-/// rebuilding it per launch would dwarf the replay itself), rebuilt
-/// otherwise. `reset` makes reuse bit-identical to a fresh cache.
+/// Every block's L2-bound requests of one launch, appended as blocks
+/// exit (in whatever order the workers finish them) into one flat
+/// buffer, plus the sum of the blocks' stat partials. Recycled through
+/// the device's [`L2Scratch`], so a warm launch allocates nothing.
+#[derive(Debug, Default)]
+pub struct L2Streams {
+    reqs: Vec<L2Req>,
+    /// `(block id, start, end)` of each block's range in `reqs`.
+    blocks: Vec<(u32, usize, usize)>,
+    partial: MemStats,
+}
+
+impl L2Streams {
+    /// Append one finished block's output.
+    pub fn push_block(&mut self, block: u32, reqs: &[L2Req], partial: MemStats) {
+        let start = self.reqs.len();
+        self.reqs.extend_from_slice(reqs);
+        self.blocks.push((block, start, self.reqs.len()));
+        self.partial = self.partial.merged(partial);
+    }
+}
+
+/// The device-owned state of the shared-L2 stage, kept between launches:
+/// the L2 cache (its line arrays run to megabytes — rebuilding them per
+/// launch would dwarf the replay itself) and the streams' buffers.
+#[derive(Debug, Default)]
+pub struct L2Scratch {
+    /// The recycled shared L2, `None` until the first streaming launch.
+    pub l2: Option<SectoredCache>,
+    /// Emptied stream buffers, handed to the next launch's sink.
+    pub streams: L2Streams,
+}
+
+/// The shared L2 for one launch: recycled from `slot` when the
+/// geometry matches, rebuilt otherwise. `reset` makes reuse
+/// bit-identical to a fresh cache.
 fn l2_for(slot: &mut Option<SectoredCache>, spec: &MemHierSpec) -> SectoredCache {
     let fits = slot.as_ref().is_some_and(|c| {
         c.geometry_matches(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways, spec.sector_bytes)
@@ -487,23 +491,23 @@ fn l2_for(slot: &mut Option<SectoredCache>, spec: &MemHierSpec) -> SectoredCache
 /// The streaming pipeline's shared stage, run once at launch exit:
 /// replay the per-block L2 streams through the shared L2 in block-id
 /// order (sorted here — block ids are unique, so the unstable sort is
-/// deterministic) and fold in the per-block partials. Produces stats
+/// deterministic) and fold in the blocks' partials. Produces stats
 /// bit-identical to the reference [`replay`] over the same launch.
-/// `l2_slot` holds the recycled shared-L2 cache between launches.
+/// `l2_slot` holds the recycled shared-L2 cache between launches;
+/// `streams` is left empty with its capacity kept.
 pub fn replay_l2(
     spec: &MemHierSpec,
-    mut streams: Vec<BlockL2Stream>,
+    streams: &mut L2Streams,
     l2_slot: &mut Option<SectoredCache>,
 ) -> MemStats {
-    streams.sort_unstable_by_key(|s| s.block);
+    streams.blocks.sort_unstable_by_key(|&(block, ..)| block);
     let mut shared = Shared {
         l2: l2_for(l2_slot, spec),
-        stats: MemStats::default(),
+        stats: streams.partial,
         sector_bytes: spec.sector_bytes,
     };
-    for stream in &streams {
-        shared.stats = shared.stats.merged(stream.partial);
-        for req in &stream.reqs {
+    for &(_, start, end) in &streams.blocks {
+        for req in &streams.reqs[start..end] {
             if req.is_write() {
                 shared.l2_write(req.sector(), req.full_cover());
             } else {
@@ -511,11 +515,12 @@ pub fn replay_l2(
             }
         }
     }
-    // Launch exit: dirty L2 sectors drain to DRAM.
-    let dirty = shared.l2.flush_dirty().len() as u64;
-    shared.dram(dirty);
+    let stats = shared.finish();
     *l2_slot = Some(shared.l2);
-    shared.stats
+    streams.reqs.clear();
+    streams.blocks.clear();
+    streams.partial = MemStats::default();
+    stats
 }
 
 fn replay_req(
@@ -601,14 +606,29 @@ mod tests {
     /// Run the streaming split (per-block L1 stage + shared L2 stage)
     /// over the same trace the serial reference sees.
     fn replay_streaming(spec: &MemHierSpec, warp_width: u32, blocks: &[BlockTrace]) -> MemStats {
-        let mut scratch = L1Scratch::default();
+        let mut stage = L1Stage::default();
+        let mut streams = L2Streams::default();
         // Feed blocks in reverse to prove the sort restores block order.
-        let streams: Vec<BlockL2Stream> = blocks
-            .iter()
-            .rev()
-            .map(|b| replay_block_l1(spec, warp_width, b, &mut scratch))
-            .collect();
-        replay_l2(spec, streams, &mut None)
+        for b in blocks.iter().rev() {
+            let (reqs, partial) = run_l1_stage(spec, warp_width, b, &mut stage);
+            streams.push_block(b.block, &reqs, partial);
+        }
+        replay_l2(spec, &mut streams, &mut None)
+    }
+
+    /// One block through the L1 stage, access by access.
+    fn run_l1_stage(
+        spec: &MemHierSpec,
+        warp_width: u32,
+        trace: &BlockTrace,
+        stage: &mut L1Stage,
+    ) -> (Vec<L2Req>, MemStats) {
+        stage.begin_block(spec);
+        for access in trace.accesses() {
+            stage.access(spec, warp_width, &access);
+        }
+        let (reqs, partial) = stage.finish_block();
+        (reqs.to_vec(), partial)
     }
 
     const PRESETS: [(fn() -> MemHierSpec, u32); 3] = [
@@ -727,13 +747,13 @@ mod tests {
     #[test]
     fn scratch_rebuilds_l1_when_geometry_changes() {
         let blocks = [gather_block(256)];
-        let mut scratch = L1Scratch::default();
-        // NVIDIA then AMD through one scratch: the second run must not
+        let mut stage = L1Stage::default();
+        // NVIDIA then AMD through one stage: the second run must not
         // inherit the 128KiB NVIDIA L1.
-        let _ = replay_block_l1(&MemHierSpec::nvidia_a100(), 32, &blocks[0], &mut scratch);
-        let amd_reused = replay_block_l1(&MemHierSpec::amd_mi250x(), 64, &blocks[0], &mut scratch);
+        let _ = run_l1_stage(&MemHierSpec::nvidia_a100(), 32, &blocks[0], &mut stage);
+        let amd_reused = run_l1_stage(&MemHierSpec::amd_mi250x(), 64, &blocks[0], &mut stage);
         let amd_fresh =
-            replay_block_l1(&MemHierSpec::amd_mi250x(), 64, &blocks[0], &mut L1Scratch::default());
+            run_l1_stage(&MemHierSpec::amd_mi250x(), 64, &blocks[0], &mut L1Stage::default());
         assert_eq!(amd_reused, amd_fresh);
     }
 }

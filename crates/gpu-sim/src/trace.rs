@@ -34,15 +34,15 @@
 //!   reference: blocks buffer their full traces, and
 //!   [`crate::memhier::replay`] walks the whole launch serially.
 //! * **Streaming** — the production pipeline: because L1 is private
-//!   per block, [`TraceSink::finish_block`] runs coalescing + the L1
-//!   stage *on the worker thread at block exit*, buffering only the
-//!   far smaller L2-request stream; [`TraceSink::finish`] then replays
-//!   the block-id-sorted streams through the shared L2. The
-//!   differential tests pin both modes to bit-identical
-//!   [`MemStats`](crate::memhier::MemStats).
+//!   per block, each access is coalesced and driven through the block's
+//!   L1 *on the worker thread as it is sealed*
+//!   ([`TraceScratch::end_access`]), so the arena never holds more than
+//!   one access and only the far smaller L2-request stream survives the
+//!   block; [`TraceSink::finish`] then replays the block-id-sorted
+//!   streams through the shared L2. The differential tests pin both
+//!   modes to bit-identical [`MemStats`](crate::memhier::MemStats).
 
-use crate::cache::SectoredCache;
-use crate::memhier::{replay, replay_block_l1, replay_l2, BlockL2Stream, L1Scratch, MemHierSpec};
+use crate::memhier::{replay, replay_l2, L1Stage, L2Scratch, L2Streams, MemHierSpec};
 use crate::pool::ScratchPool;
 use crate::MemStats;
 use parking_lot::Mutex;
@@ -119,6 +119,25 @@ impl BlockTrace {
         self.addrs.push(addr);
     }
 
+    /// Record lanes `0..addrs.len()` of the access currently being
+    /// assembled, in ascending order — a full-mask access in one go.
+    /// Negative addresses are skipped, like [`push_lane`]'s callers do:
+    /// the access faults and the trace is never consumed.
+    ///
+    /// [`push_lane`]: Self::push_lane
+    pub fn push_dense(&mut self, addrs: &[i64]) {
+        if addrs.iter().all(|&a| a >= 0) {
+            self.lanes.extend(0..addrs.len() as u32);
+            self.addrs.extend(addrs.iter().map(|&a| a as u64));
+        } else {
+            for (lane, &a) in (0u32..).zip(addrs) {
+                if a >= 0 {
+                    self.push_lane(lane, a as u64);
+                }
+            }
+        }
+    }
+
     /// Seal the access currently being assembled. A no-op if no lanes
     /// were pushed since the last seal (inactive warps trace nothing).
     #[inline]
@@ -157,6 +176,10 @@ impl BlockTrace {
     /// scratch reuse across blocks and launches).
     pub fn clear(&mut self) {
         self.block = 0;
+        self.forget_accesses();
+    }
+
+    fn forget_accesses(&mut self) {
         self.headers.clear();
         self.lanes.clear();
         self.addrs.clear();
@@ -164,14 +187,55 @@ impl BlockTrace {
 }
 
 /// Per-worker reusable tracing state: the block's trace arena plus the
-/// L1-stage scratch (cache, coalescer buffers) the streaming pipeline
-/// replays it with at block exit. Pooled on the device so its buffers
-/// survive across blocks *and* launches at their high-water mark.
+/// L1 stage (cache, coalescer buffers, L2-bound output) the streaming
+/// pipeline drives each sealed access through. Pooled on the device so
+/// its buffers survive across blocks *and* launches at their
+/// high-water mark.
 #[derive(Debug, Default)]
 pub struct TraceScratch {
-    /// The arena the executing block records into.
-    pub trace: BlockTrace,
-    l1: L1Scratch,
+    trace: BlockTrace,
+    l1: L1Stage,
+    /// Streaming mode: the hierarchy and warp width the L1 stage runs
+    /// under, set by [`TraceSink::begin_block`]. `None` in buffered
+    /// mode, where the arena keeps the whole block.
+    fused: Option<(MemHierSpec, u32)>,
+}
+
+impl TraceScratch {
+    /// Record one lane of the access currently being assembled.
+    #[inline]
+    pub fn push_lane(&mut self, lane: u32, addr: u64) {
+        self.trace.push_lane(lane, addr);
+    }
+
+    /// See [`BlockTrace::push_dense`].
+    #[inline]
+    pub fn push_dense(&mut self, addrs: &[i64]) {
+        self.trace.push_dense(addrs);
+    }
+
+    /// Seal the access currently being assembled (see
+    /// [`BlockTrace::end_access`]). In streaming mode the access is
+    /// coalesced and driven through the block's L1 right here, and the
+    /// arena emptied.
+    #[inline]
+    pub fn end_access(&mut self, kind: AccessKind, width: u32) {
+        self.trace.end_access(kind, width);
+        if self.fused.is_some() {
+            self.drain();
+        }
+    }
+
+    /// Streaming mode: run every access still in the arena through the
+    /// L1 stage, then empty the arena.
+    fn drain(&mut self) {
+        if let Some((spec, warp_width)) = &self.fused {
+            for access in self.trace.accesses() {
+                self.l1.access(spec, *warp_width, &access);
+            }
+            self.trace.forget_accesses();
+        }
+    }
 }
 
 /// Launch-wide collector blocks record into.
@@ -188,14 +252,14 @@ pub struct TraceSink {
     warp_width: u32,
     mode: ReplayMode,
     scratch: Arc<ScratchPool<TraceScratch>>,
-    /// Device-owned slot recycling the shared-L2 cache between launches
-    /// (streaming mode; its line array runs to megabytes).
-    l2_slot: Arc<Mutex<Option<SectoredCache>>>,
+    /// Device-owned slot recycling the shared-L2 cache and the stream
+    /// buffers between launches (streaming mode).
+    l2_slot: Arc<Mutex<L2Scratch>>,
     /// Buffered mode: full block traces awaiting the serial replay.
     blocks: Mutex<Vec<BlockTrace>>,
     /// Streaming mode: per-block L2-request streams awaiting the
     /// shared L2 stage.
-    streams: Mutex<Vec<BlockL2Stream>>,
+    streams: Mutex<L2Streams>,
 }
 
 impl TraceSink {
@@ -207,8 +271,12 @@ impl TraceSink {
         warp_width: u32,
         mode: ReplayMode,
         scratch: Arc<ScratchPool<TraceScratch>>,
-        l2_slot: Arc<Mutex<Option<SectoredCache>>>,
+        l2_slot: Arc<Mutex<L2Scratch>>,
     ) -> Self {
+        let streams = match mode {
+            ReplayMode::Streaming => std::mem::take(&mut l2_slot.lock().streams),
+            ReplayMode::Buffered => L2Streams::default(),
+        };
         Self {
             spec,
             warp_width,
@@ -216,7 +284,7 @@ impl TraceSink {
             scratch,
             l2_slot,
             blocks: Mutex::new(Vec::new()),
-            streams: Mutex::new(Vec::new()),
+            streams: Mutex::new(streams),
         }
     }
 
@@ -228,7 +296,7 @@ impl TraceSink {
             warp_width,
             ReplayMode::Buffered,
             Arc::new(ScratchPool::default()),
-            Arc::new(Mutex::new(None)),
+            Arc::default(),
         )
     }
 
@@ -237,17 +305,26 @@ impl TraceSink {
         self.mode
     }
 
-    /// Hand out a (recycled) scratch for a block that is starting.
+    /// Hand out a (recycled) scratch for a block that is starting; in
+    /// streaming mode its L1 stage is reset for the block.
     pub fn begin_block(&self, block: u32) -> TraceScratch {
         let mut s = self.scratch.acquire();
         s.trace.block = block;
+        s.fused = match self.mode {
+            ReplayMode::Streaming => {
+                s.l1.begin_block(&self.spec);
+                Some((self.spec, self.warp_width))
+            }
+            ReplayMode::Buffered => None,
+        };
         s
     }
 
     /// Flush one finished block. Called once per block, at exit, on the
-    /// worker thread that ran the block. In streaming mode this is
-    /// where coalescing and the private-L1 stage happen — in parallel
-    /// across workers — leaving only the L2-request stream buffered.
+    /// worker thread that ran the block. In streaming mode the block's
+    /// accesses have already been through its L1 (in parallel across
+    /// workers); this drains the L1's dirty sectors and hands the
+    /// block's L2-request stream to the launch.
     pub fn finish_block(&self, mut scratch: TraceScratch) {
         match self.mode {
             ReplayMode::Buffered => {
@@ -255,9 +332,9 @@ impl TraceSink {
                 self.blocks.lock().push(trace);
             }
             ReplayMode::Streaming => {
-                let stream =
-                    replay_block_l1(&self.spec, self.warp_width, &scratch.trace, &mut scratch.l1);
-                self.streams.lock().push(stream);
+                scratch.drain();
+                let (reqs, partial) = scratch.l1.finish_block();
+                self.streams.lock().push_block(scratch.trace.block, reqs, partial);
                 scratch.trace.clear();
             }
         }
@@ -267,7 +344,7 @@ impl TraceSink {
     /// Flush a bare block trace (test convenience; equivalent to
     /// `begin_block` + recording + `finish_block`).
     pub fn push(&self, trace: BlockTrace) {
-        let mut scratch = self.scratch.acquire();
+        let mut scratch = self.begin_block(trace.block);
         scratch.trace = trace;
         self.finish_block(scratch);
     }
@@ -283,8 +360,11 @@ impl TraceSink {
                 replay(&spec, warp_width, &self.into_blocks())
             }
             ReplayMode::Streaming => {
+                let mut streams = self.streams.into_inner();
                 let mut slot = self.l2_slot.lock();
-                replay_l2(&self.spec, self.streams.into_inner(), &mut slot)
+                let stats = replay_l2(&self.spec, &mut streams, &mut slot.l2);
+                slot.streams = streams;
+                stats
             }
         }
     }
@@ -375,19 +455,14 @@ mod tests {
     fn streaming_and_buffered_sinks_agree() {
         let spec = MemHierSpec::nvidia_a100();
         let mk = |mode| {
-            let sink = TraceSink::new(
-                spec,
-                32,
-                mode,
-                Arc::new(ScratchPool::default()),
-                Arc::new(Mutex::new(None)),
-            );
+            let sink =
+                TraceSink::new(spec, 32, mode, Arc::new(ScratchPool::default()), Arc::default());
             for block in [2u32, 0, 1] {
                 let mut s = sink.begin_block(block);
                 for l in 0..64u32 {
-                    s.trace.push_lane(l, u64::from(l) * 8 + u64::from(block) * 512);
+                    s.push_lane(l, u64::from(l) * 8 + u64::from(block) * 512);
                 }
-                s.trace.end_access(AccessKind::Load, 8);
+                s.end_access(AccessKind::Load, 8);
                 sink.finish_block(s);
             }
             sink.finish()

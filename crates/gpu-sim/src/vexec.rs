@@ -990,6 +990,11 @@ impl<'a> VInterp<'a> {
         // Disjoint field borrows: the arena mutably, the address pool
         // shared.
         let Some(tb) = self.tblock.as_mut() else { return };
+        if let (In::Base(b), None) = (am, bits) {
+            tb.push_dense(&self.i64s[b..b + n]);
+            tb.end_access(kind, width);
+            return;
+        }
         for i in 0..n {
             if let Some(m) = bits {
                 if !m[i] {
@@ -1001,10 +1006,10 @@ impl<'a> VInterp<'a> {
                 In::Imm(v) => v,
             };
             if av >= 0 {
-                tb.trace.push_lane(i as u32, av as u64);
+                tb.push_lane(i as u32, av as u64);
             }
         }
-        tb.trace.end_access(kind, width);
+        tb.end_access(kind, width);
     }
 
     fn ld(
@@ -1204,7 +1209,7 @@ impl<'a> VInterp<'a> {
             };
             let a = lane_addr(av)?;
             if tracing {
-                self.tblock.as_mut().expect("tracing checked").trace.push_lane(i as u32, a);
+                self.tblock.as_mut().expect("tracing checked").push_lane(i as u32, a);
             }
             let v = self.read_value(ty, value, i);
             let old = match space {
@@ -1233,7 +1238,6 @@ impl<'a> VInterp<'a> {
             self.tblock
                 .as_mut()
                 .expect("tracing checked")
-                .trace
                 .end_access(AccessKind::Atomic, ty.size() as u32);
         }
         Ok(())
