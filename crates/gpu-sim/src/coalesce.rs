@@ -262,6 +262,72 @@ mod tests {
         }
     }
 
+    /// Reference: group lanes by (warp, sector) in an ordered map — the
+    /// coalescer's original formulation.
+    fn reference(t: &BlockTrace, warp_width: u32, sector_bytes: u64) -> Vec<SectorReq> {
+        let a = t.accesses().next().expect("one access");
+        let mut map = std::collections::BTreeMap::<(u32, u64), SectorReq>::new();
+        for (&lane, &addr) in a.lanes.iter().zip(a.addrs) {
+            let sector = addr / sector_bytes * sector_bytes;
+            let bits = ((1u64 << a.width) - 1) << (addr - sector);
+            let req = map.entry((lane / warp_width, sector)).or_insert(SectorReq {
+                addr: sector,
+                cover: 0,
+                lanes: 0,
+            });
+            req.cover |= bits;
+            req.lanes += 1;
+        }
+        map.into_values().collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Ascending lanes with strided, broadcast, descending or random
+        /// addresses, and shuffled lane orders: one pass or fallback, the
+        /// output equals the ordered-map reference.
+        #[test]
+        fn one_pass_and_fallback_match_the_reference(
+            shape in 0u8..5,
+            stride in 0u64..40,
+            lanes in 1u32..200,
+            seed in proptest::prelude::any::<u64>(),
+            config in 0usize..6,
+        ) {
+            let (width, warp_width, sector_bytes) =
+                [(8, 32, 32), (4, 32, 32), (8, 64, 64), (4, 16, 64), (1, 24, 32), (8, 48, 64)][config];
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut pairs: Vec<(u32, u64)> = (0..lanes)
+                .map(|l| {
+                    let slot = match shape {
+                        0 => u64::from(l) * stride,
+                        1 => 7,
+                        2 => u64::from(lanes - l) * stride,
+                        3 => u64::from(l) * stride + next() % 3,
+                        _ => next() % 512,
+                    };
+                    (l, slot * u64::from(width))
+                })
+                .collect();
+            if next() % 4 == 0 {
+                // A non-ascending lane order (like an atomic's).
+                pairs.rotate_left((next() % u64::from(lanes)) as usize);
+            }
+            let t = access(width, pairs);
+            proptest::prop_assert_eq!(
+                run(&t, warp_width, sector_bytes),
+                reference(&t, warp_width, sector_bytes)
+            );
+        }
+    }
+
     #[test]
     fn shared_sector_across_warps_stays_split() {
         // Lanes 31 and 32 touch the same 64B sector from different

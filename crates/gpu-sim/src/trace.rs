@@ -221,14 +221,6 @@ impl TraceScratch {
     #[inline]
     pub fn end_access(&mut self, kind: AccessKind, width: u32) {
         self.trace.end_access(kind, width);
-        if self.fused.is_some() {
-            self.drain();
-        }
-    }
-
-    /// Streaming mode: run every access still in the arena through the
-    /// L1 stage, then empty the arena.
-    fn drain(&mut self) {
         if let Some((spec, warp_width)) = &self.fused {
             for access in self.trace.accesses() {
                 self.l1.access(spec, *warp_width, &access);
@@ -332,21 +324,12 @@ impl TraceSink {
                 self.blocks.lock().push(trace);
             }
             ReplayMode::Streaming => {
-                scratch.drain();
                 let (reqs, partial) = scratch.l1.finish_block();
                 self.streams.lock().push_block(scratch.trace.block, reqs, partial);
                 scratch.trace.clear();
             }
         }
         self.scratch.release(scratch);
-    }
-
-    /// Flush a bare block trace (test convenience; equivalent to
-    /// `begin_block` + recording + `finish_block`).
-    pub fn push(&self, trace: BlockTrace) {
-        let mut scratch = self.begin_block(trace.block);
-        scratch.trace = trace;
-        self.finish_block(scratch);
     }
 
     /// Replay whatever reached the sink into the launch's [`MemStats`].
@@ -394,7 +377,10 @@ mod tests {
     fn sink_sorts_blocks_for_deterministic_replay() {
         let sink = TraceSink::buffered(MemHierSpec::nvidia_a100(), 32);
         for block in [3u32, 0, 2, 1] {
-            sink.push(one_load_trace(block));
+            let mut s = sink.begin_block(block);
+            s.push_lane(0, u64::from(block) * 64);
+            s.end_access(AccessKind::Load, 4);
+            sink.finish_block(s);
         }
         let blocks = sink.into_blocks();
         let ids: Vec<u32> = blocks.iter().map(|b| b.block).collect();
@@ -449,6 +435,40 @@ mod tests {
         assert!(t.is_empty() && t.block == 0);
         assert!(t.headers.capacity() >= cap.0 && t.lanes.capacity() >= cap.1);
         assert!(t.addrs.capacity() >= cap.2);
+    }
+
+    #[test]
+    fn streaming_scratch_never_holds_a_sealed_access() {
+        let sink = TraceSink::new(
+            MemHierSpec::amd_mi250x(),
+            64,
+            ReplayMode::Streaming,
+            Arc::new(ScratchPool::default()),
+            Arc::default(),
+        );
+        let mut s = sink.begin_block(0);
+        for kind in [AccessKind::Load, AccessKind::Store, AccessKind::Atomic] {
+            s.push_dense(&[0, 8, 16, 24]);
+            assert_eq!(s.trace.lanes.len(), 4);
+            s.end_access(kind, 8);
+            assert!(s.trace.is_empty() && s.trace.lanes.is_empty());
+        }
+        sink.finish_block(s);
+        let stats = sink.finish();
+        assert_eq!((stats.requests, stats.transactions), (12, 3));
+    }
+
+    #[test]
+    fn dense_pushes_match_lane_pushes() {
+        let addrs = [0i64, 8, -8, 24];
+        let mut dense = BlockTrace::new(0);
+        dense.push_dense(&addrs);
+        dense.push_dense(&addrs[..2]);
+        let mut lanes = BlockTrace::new(0);
+        for (lane, addr) in [(0, 0), (1, 8), (3, 24), (0, 0), (1, 8)] {
+            lanes.push_lane(lane, addr);
+        }
+        assert_eq!(dense, lanes);
     }
 
     #[test]
