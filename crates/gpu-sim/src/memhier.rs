@@ -467,9 +467,9 @@ impl L2Streams {
 #[derive(Debug, Default)]
 pub struct L2Scratch {
     /// The recycled shared L2, `None` until the first streaming launch.
-    pub l2: Option<SectoredCache>,
+    pub(crate) l2: Option<SectoredCache>,
     /// Emptied stream buffers, handed to the next launch's sink.
-    pub streams: L2Streams,
+    pub(crate) streams: L2Streams,
 }
 
 /// The shared L2 for one launch: recycled from `slot` when the
