@@ -264,14 +264,42 @@ fn shared_tiled_kernel() -> KernelIr {
 const GOLDEN_N: usize = 2048;
 const GOLDEN_BLOCK: u32 = 256;
 
-/// One traced launch of a `(a, b, c, sum, n)` kernel at `GOLDEN_N`.
-fn golden_stats(spec: DeviceSpec, kernel: &KernelIr, exec: ExecTier, mode: ReplayMode) -> MemStats {
+/// `c[i] = a[(i % 16) * 512]`: sixteen lines 4 KiB apart. On AMD (64 sets
+/// of 64 B lines, 4 ways) they all map to one L1 set, so every warp
+/// evicts live lines that the block's next warp reads again, and only an
+/// LRU victim misses on every one of them. NVIDIA's and Intel's L1s
+/// spread the same lines over more sets and keep them all.
+fn set_conflict_kernel() -> KernelIr {
+    let mut k = KernelBuilder::new("set_conflict");
+    let a = k.param(Type::I64);
+    let _b = k.param(Type::I64);
+    let c = k.param(Type::I64);
+    let _sum = k.param(Type::I64);
+    let n = k.param(Type::I32);
+    let i = k.global_thread_id_x();
+    let in_range = k.cmp(CmpOp::Lt, i, n);
+    k.if_(in_range, |k| {
+        let rem = k.bin(BinOp::Rem, i, Value::I32(16));
+        let idx = k.bin(BinOp::Mul, rem, Value::I32(512));
+        let v = k.ld_elem(Space::Global, Type::F64, a, idx);
+        k.st_elem(Space::Global, c, i, v);
+    });
+    k.finish()
+}
+
+/// One traced launch of a `(a, b, c, sum, n)` kernel over `n` elements.
+fn golden_stats(
+    spec: DeviceSpec,
+    kernel: &KernelIr,
+    n: usize,
+    exec: ExecTier,
+    mode: ReplayMode,
+) -> MemStats {
     use many_models::babelstream::{START_A, START_B, START_C};
     let dev: Arc<Device> = Device::new(spec);
     dev.set_exec_tier(exec);
     dev.set_tracing(true);
     dev.set_replay_mode(mode);
-    let n = GOLDEN_N;
     let da = dev.alloc_copy_f64(&vec![START_A; n]).unwrap();
     let db = dev.alloc_copy_f64(&vec![START_B; n]).unwrap();
     let dc = dev.alloc_copy_f64(&vec![START_C; n]).unwrap();
@@ -325,6 +353,44 @@ const GOLDEN: [(&str, &str, [u64; 12]); 18] = [
     ("Intel", "SharedTiled", [4096, 512, 3584, 0, 512, 512, 0, 512, 512, 32768, 32768, 32768]),
 ];
 
+/// The pinned field order of a `[u64; 12]` row.
+fn mem_stats(f: [u64; 12]) -> MemStats {
+    MemStats {
+        requests: f[0],
+        transactions: f[1],
+        mshr_merges: f[2],
+        l1_hits: f[3],
+        l1_misses: f[4],
+        l2_accesses: f[5],
+        l2_hits: f[6],
+        l2_misses: f[7],
+        dram_sectors: f[8],
+        dram_bytes: f[9],
+        bytes_requested: f[10],
+        bytes_covered: f[11],
+    }
+}
+
+/// Assert every `(vendor, shape)` pin in `table`, in vendor-major order,
+/// on both execution tiers and both replay pipelines.
+fn assert_pins(n: usize, shapes: &[(&str, KernelIr)], table: &[(&str, &str, [u64; 12])]) {
+    let vendors = ["NVIDIA", "AMD", "Intel"].into_iter().zip(DeviceSpec::presets());
+    let mut pins = table.iter();
+    for (vendor, spec) in vendors {
+        for (shape, kernel) in shapes {
+            let &(pv, ps, f) = pins.next().expect("one pin per vendor x shape");
+            assert_eq!((pv, ps), (vendor, *shape), "pin table out of order");
+            for exec in [ExecTier::Scalar, ExecTier::Vectorized] {
+                for mode in [ReplayMode::Streaming, ReplayMode::Buffered] {
+                    let got = golden_stats(spec.clone(), kernel, n, exec, mode);
+                    assert_eq!(got, mem_stats(f), "{vendor}/{shape} at n={n} ({exec:?}, {mode:?})");
+                }
+            }
+        }
+    }
+    assert!(pins.next().is_none(), "pin table has extra rows");
+}
+
 #[test]
 fn memstats_match_the_golden_pins() {
     let stream = many_models::babelstream::adapters::stream_kernels();
@@ -336,32 +402,37 @@ fn memstats_match_the_golden_pins() {
         ("Gather128", gather128_kernel()),
         ("SharedTiled", shared_tiled_kernel()),
     ];
-    let vendors = ["NVIDIA", "AMD", "Intel"].into_iter().zip(DeviceSpec::presets());
-    let mut golden = GOLDEN.iter();
-    for (vendor, spec) in vendors {
-        for (shape, kernel) in &shapes {
-            let &(gv, gs, f) = golden.next().expect("one pin per vendor x shape");
-            assert_eq!((gv, gs), (vendor, *shape), "pin table out of order");
-            let want = MemStats {
-                requests: f[0],
-                transactions: f[1],
-                mshr_merges: f[2],
-                l1_hits: f[3],
-                l1_misses: f[4],
-                l2_accesses: f[5],
-                l2_hits: f[6],
-                l2_misses: f[7],
-                dram_sectors: f[8],
-                dram_bytes: f[9],
-                bytes_requested: f[10],
-                bytes_covered: f[11],
-            };
-            for exec in [ExecTier::Scalar, ExecTier::Vectorized] {
-                for mode in [ReplayMode::Streaming, ReplayMode::Buffered] {
-                    let got = golden_stats(spec.clone(), kernel, exec, mode);
-                    assert_eq!(got, want, "{vendor}/{shape} ({exec:?}, {mode:?})");
-                }
-            }
-        }
-    }
+    assert_pins(GOLDEN_N, &shapes, &GOLDEN);
+}
+
+/// Size of the evicting pins: `set_conflict_kernel` reads up to element
+/// 15 × 512.
+const EVICTING_N: usize = 8192;
+
+/// `MemStats` of a launch whose L1 evicts live lines (AMD) next to the
+/// same launch where it does not (NVIDIA, Intel), recorded from the
+/// cache model with its first-oldest-way victim rule. The `GOLDEN` shapes
+/// never evict at `GOLDEN_N`, so any victim choice passes them; these
+/// pins fail when the victim is not the least recently used way.
+const EVICTING: [(&str, &str, [u64; 12]); 3] = [
+    (
+        "NVIDIA",
+        "SetConflict",
+        [16384, 6144, 10240, 3584, 2560, 2560, 496, 2064, 2064, 66048, 131072, 98304],
+    ),
+    (
+        "AMD",
+        "SetConflict",
+        [16384, 3072, 13312, 0, 3072, 3072, 2032, 1040, 1040, 66560, 131072, 81920],
+    ),
+    (
+        "Intel",
+        "SetConflict",
+        [16384, 9216, 7168, 7680, 1536, 1536, 496, 1040, 1040, 66560, 131072, 131072],
+    ),
+];
+
+#[test]
+fn memstats_match_the_evicting_pins() {
+    assert_pins(EVICTING_N, &[("SetConflict", set_conflict_kernel())], &EVICTING);
 }
