@@ -17,9 +17,10 @@
 //! * the trace-driven tier agrees with the analytic tier on streaming
 //!   shapes (same roofline, refined by actual sector traffic);
 //! * tracing is cheap enough to leave on: measured wall-clock overhead
-//!   of streaming-traced launches over untraced launches stays within
-//!   the production budget (geomean ≤ 1.5× on full runs, ≤ 3× on smoke
-//!   where tiny launches amplify fixed costs), and on hosts with ≥ 4
+//!   of streaming-traced launches over untraced launches (per shape, the
+//!   median of per-round ratios, the modes alternated on one device)
+//!   stays within the production budget (geomean ≤ 1.5× on full runs,
+//!   ≤ 3× on smoke where tiny launches amplify fixed costs), and on hosts with ≥ 4
 //!   cores the streaming pipeline beats the buffered serial replay by
 //!   ≥ 3× on trace-dominated launches. Hosts with fewer than 4 cores
 //!   get a 4× backstop instead of the budget.
@@ -131,23 +132,20 @@ fn run_case(
     (report.mem, report.time.micros(), fnv1a(&bytes))
 }
 
-/// Wall-clock nanoseconds per element for repeated launches of `kernel`
-/// on one persistent device (scratch pools warm, program cache hot):
-/// `warmup` discarded launches, then the best of `iters`. `mode = None`
-/// disables tracing entirely.
-fn wall_ns_per_elem(
-    spec: DeviceSpec,
-    kernel: &KernelIr,
+/// Wall-clock tracing cost of `kernel` on one persistent device (scratch
+/// pools warm, program cache hot). After `warmup` discarded launches per
+/// mode, each of `rounds` rounds times an untraced, a streaming-traced
+/// and a buffered-traced launch back to back, so the three modes of a
+/// round share the host's conditions; the row keeps each mode's median
+/// and the medians of the per-round ratios.
+fn overhead_row(
+    (vendor, spec): (&'static str, DeviceSpec),
+    (shape, kernel): (&'static str, &KernelIr),
     n: usize,
-    mode: Option<ReplayMode>,
     warmup: usize,
-    iters: usize,
-) -> f64 {
+    rounds: usize,
+) -> OverheadRow {
     let dev: Arc<Device> = Device::new(spec);
-    dev.set_tracing(mode.is_some());
-    if let Some(m) = mode {
-        dev.set_replay_mode(m);
-    }
     let da = dev.alloc_copy_f64(&vec![START_A; n]).unwrap();
     let db = dev.alloc_copy_f64(&vec![START_B; n]).unwrap();
     let dc = dev.alloc_copy_f64(&vec![START_C; n]).unwrap();
@@ -160,18 +158,44 @@ fn wall_ns_per_elem(
         KernelArg::I32(n as i32),
     ];
     let cfg = LaunchConfig::linear(n as u64, BLOCK_DIM);
-    for _ in 0..warmup {
-        dev.launch_kernel(kernel, cfg, &args).unwrap();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
+    // Nanoseconds per element of one launch in `mode` (`None` = untraced).
+    let launch = |mode: Option<ReplayMode>| {
+        dev.set_tracing(mode.is_some());
+        if let Some(m) = mode {
+            dev.set_replay_mode(m);
+        }
         let t0 = Instant::now();
         let report = dev.launch_kernel(kernel, cfg, &args).unwrap();
         let ns = t0.elapsed().as_nanos() as f64;
         assert_eq!(report.mem.is_some(), mode.is_some(), "tracing knob ignored");
-        best = best.min(ns);
+        ns / n as f64
+    };
+    let modes = [None, Some(ReplayMode::Streaming), Some(ReplayMode::Buffered)];
+    for mode in (0..warmup).flat_map(|_| modes) {
+        launch(mode);
     }
-    best / n as f64
+    let samples: Vec<[f64; 3]> = (0..rounds).map(|_| modes.map(launch)).collect();
+    let median_of = |f: fn(&[f64; 3]) -> f64| median(samples.iter().map(f).collect());
+    OverheadRow {
+        vendor,
+        shape,
+        untraced_ns_elem: median_of(|s| s[0]),
+        streaming_ns_elem: median_of(|s| s[1]),
+        buffered_ns_elem: median_of(|s| s[2]),
+        streaming_overhead: median_of(|s| s[1] / s[0].max(f64::MIN_POSITIVE)),
+        replay_speedup: median_of(|s| s[2] / s[1].max(f64::MIN_POSITIVE)),
+    }
+}
+
+/// The middle value (the mean of the middle two for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
 }
 
 fn geomean(xs: impl IntoIterator<Item = f64>) -> f64 {
@@ -197,20 +221,12 @@ struct OverheadRow {
     untraced_ns_elem: f64,
     streaming_ns_elem: f64,
     buffered_ns_elem: f64,
-}
-
-impl OverheadRow {
-    /// Streaming-traced wall clock over untraced — the cost of leaving
-    /// tracing on in production.
-    fn streaming_overhead(&self) -> f64 {
-        self.streaming_ns_elem / self.untraced_ns_elem.max(f64::MIN_POSITIVE)
-    }
-
-    /// Buffered-serial wall clock over streaming — the pipeline's
-    /// speedup over the retained reference replay.
-    fn replay_speedup(&self) -> f64 {
-        self.buffered_ns_elem / self.streaming_ns_elem.max(f64::MIN_POSITIVE)
-    }
+    /// Median over rounds of streaming-traced over untraced wall clock:
+    /// the cost of leaving tracing on in production.
+    streaming_overhead: f64,
+    /// Median over rounds of buffered-serial over streaming wall clock:
+    /// the pipeline's speedup over the retained reference replay.
+    replay_speedup: f64,
 }
 
 fn main() {
@@ -378,24 +394,17 @@ fn main() {
     }
 
     // Wall-clock tracing overhead on the STREAM shapes: untraced vs
-    // streaming-traced vs buffered-traced, one warm device per mode.
+    // streaming-traced vs buffered-traced, alternated on one warm device.
     eprintln!("measuring wall-clock tracing overhead on the STREAM shapes…");
-    let (warmup, iters) = if smoke { (1, 3) } else { (2, 5) };
+    let (warmup, rounds) = if smoke { (1, 7) } else { (2, 9) };
     let mut overhead: Vec<OverheadRow> = Vec::new();
     for (vendor, spec) in vendors {
-        for (shape, kernel) in shapes.iter().take(4) {
-            let measure = |mode| wall_ns_per_elem(spec(), kernel, n, mode, warmup, iters);
-            overhead.push(OverheadRow {
-                vendor,
-                shape,
-                untraced_ns_elem: measure(None),
-                streaming_ns_elem: measure(Some(ReplayMode::Streaming)),
-                buffered_ns_elem: measure(Some(ReplayMode::Buffered)),
-            });
+        for &(shape, kernel) in shapes.iter().take(4) {
+            overhead.push(overhead_row((vendor, spec()), (shape, kernel), n, warmup, rounds));
         }
     }
-    let overhead_geomean = geomean(overhead.iter().map(OverheadRow::streaming_overhead));
-    let speedup_geomean = geomean(overhead.iter().map(OverheadRow::replay_speedup));
+    let overhead_geomean = geomean(overhead.iter().map(|r| r.streaming_overhead));
+    let speedup_geomean = geomean(overhead.iter().map(|r| r.replay_speedup));
     // Tiny smoke launches amplify fixed per-launch costs, so the smoke
     // budget is looser; the production claim is the full-size one. Both
     // claims assume cores to hide the replay behind: with fewer than 4
@@ -455,8 +464,8 @@ fn main() {
                 r.untraced_ns_elem,
                 r.streaming_ns_elem,
                 r.buffered_ns_elem,
-                r.streaming_overhead(),
-                r.replay_speedup()
+                r.streaming_overhead,
+                r.replay_speedup
             )
         })
         .collect();
@@ -504,8 +513,8 @@ fn main() {
                 r.untraced_ns_elem,
                 r.streaming_ns_elem,
                 r.buffered_ns_elem,
-                r.streaming_overhead(),
-                r.replay_speedup()
+                r.streaming_overhead,
+                r.replay_speedup
             );
         }
         println!(

@@ -64,6 +64,10 @@ impl Deserialize for f64 {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         r.float()
     }
+
+    fn deserialize_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, Error> {
+        r.floats(|f| f)
+    }
 }
 
 impl Serialize for f32 {
@@ -75,6 +79,10 @@ impl Serialize for f32 {
 impl Deserialize for f32 {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         f64::deserialize(r).map(|f| f as f32)
+    }
+
+    fn deserialize_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, Error> {
+        r.floats(|f| f as f32)
     }
 }
 
@@ -162,12 +170,7 @@ impl<T: Serialize> Serialize for Vec<T> {
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let mut out = Vec::new();
-        r.array(|r| {
-            out.push(T::deserialize(r)?);
-            Ok(())
-        })?;
-        Ok(out)
+        T::deserialize_vec(r)
     }
 }
 

@@ -7,7 +7,13 @@
 //! `Deserialize` reads a type straight *from* JSON text through the
 //! hardened [`Reader`]: a struct decodes field by field into typed slots
 //! and a `Vec<f32>` number by number, with no tree in between — a
-//! [`Value`] is built only when the target type is `Value` itself. The
+//! [`Value`] is built only when the target type is `Value` itself.
+//! Numbers take one exact pass when they are short decimals
+//! (`-?[0-9]+(\.[0-9]+)?`, at most 15 digits, not followed by `. e E + -`):
+//! the digits accumulate into an integer mantissa, and a fraction is one
+//! correctly rounded division by an exact power of ten. Exponents, longer
+//! mantissas and lenient forms fall back to `str::parse`, so every token
+//! decodes to the bits, or fails with the error, it always did. The
 //! derive macros (from the sibling `serde_derive` shim) emit the same
 //! external representation real serde would: structs become objects in
 //! field order, unit enum variants become strings, and newtype variants
@@ -32,6 +38,18 @@ pub trait Serialize {
 pub trait Deserialize: Sized {
     /// Read exactly one JSON value from `r` and decode it.
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
+
+    /// Read a JSON array of `Self`, the body of `Vec<Self>`'s impl. The
+    /// default hands each element to [`Deserialize::deserialize`]; `f32`
+    /// and `f64` override it with the reader's numeric-array loop.
+    fn deserialize_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, Error> {
+        let mut out = Vec::new();
+        r.array(|r| {
+            out.push(Self::deserialize(r)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
 
     /// The value of a struct field whose key is absent from its object: an
     /// error naming the field, except for `Option`, which reads as `None`.

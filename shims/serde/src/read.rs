@@ -8,6 +8,23 @@
 //! detected at ([`Error::position`]) — including truncated bodies, which
 //! report the end-of-input offset instead of a positionless "unexpected
 //! end".
+//!
+//! **Numbers** are read by one routine, [`Reader::number`], in one pass
+//! for the common case. A token of the form `-?[0-9]+(\.[0-9]+)?` with at
+//! most 15 digits in total, followed by a byte that cannot continue a
+//! number (not `0-9 . e E + -`), is accumulated into a `u64` mantissa `m`
+//! while its end is found: integer text is `±m`, and a fraction of `k`
+//! digits is `±(m / 10^k)`. That division is exact: `m < 10^15 < 2^53` and
+//! `10^k` are both representable in `f64`, so one IEEE division rounds the
+//! true quotient correctly — the same bits `str::parse::<f64>` returns
+//! (Clinger's fast path). Every other token — exponents, longer
+//! mantissas, and the lenient forms the reader has always accepted
+//! (`1.`, `-.5`, `01e1`, …) or refused (`1e`, `--1`, `1-2`) — falls back
+//! to scanning the run of `0-9 . e E + -` and `str::parse` (`i64` first
+//! for all-digit text, then `f64`), with the same results and errors.
+//! Numeric arrays (`Vec<f32>`, `Vec<f64>`) read their elements through
+//! that routine in a loop of their own, with no per-element closure or
+//! [`Value`].
 
 use crate::Value;
 use std::borrow::Cow;
@@ -45,6 +62,52 @@ impl std::fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+/// Most digits a number may have to take the exact fast path: below
+/// 10^15 the mantissa is an integer `f64` represents exactly.
+const FAST_DIGITS: usize = 15;
+
+/// `10^k` for every fraction length the fast path takes; all exact.
+const POW10: [f64; FAST_DIGITS + 1] =
+    [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15];
+
+/// Accumulate the decimal digits from `at` onto `mantissa`, returning the
+/// offset of the first non-digit. Long runs wrap instead of overflowing;
+/// the fast path only uses a mantissa of at most [`FAST_DIGITS`] digits.
+#[inline]
+fn digits(bytes: &[u8], mut at: usize, mantissa: &mut u64) -> usize {
+    while let Some(&c @ b'0'..=b'9') = bytes.get(at) {
+        *mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+        at += 1;
+    }
+    at
+}
+
+/// A number token, classified the way [`Value`] stores numbers.
+#[derive(Debug, Clone, Copy)]
+enum Number {
+    Int(i64),
+    Float(f64),
+}
+
+impl Number {
+    #[inline]
+    fn as_f64(self) -> f64 {
+        match self {
+            Number::Int(i) => i as f64,
+            Number::Float(f) => f,
+        }
+    }
+}
+
+impl From<Number> for Value {
+    fn from(n: Number) -> Self {
+        match n {
+            Number::Int(i) => Value::Int(i),
+            Number::Float(f) => Value::Float(f),
+        }
+    }
+}
 
 /// A cursor over one JSON document.
 pub struct Reader<'a> {
@@ -117,7 +180,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Enter one nesting level, rejecting documents deeper than
-    /// [`MAX_DEPTH`]. [`Reader::seq`] pairs it with a `depth -= 1`.
+    /// [`MAX_DEPTH`]. [`Reader::leave`] steps back out.
     fn descend(&mut self) -> Result<(), Error> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
@@ -133,6 +196,20 @@ impl<'a> Reader<'a> {
         element: impl FnMut(&mut Self) -> Result<(), Error>,
     ) -> Result<(), Error> {
         self.seq(b'[', b']', element)
+    }
+
+    /// Read an array of numbers, each narrowed from `f64` by `narrow`:
+    /// [`Reader::array`]'s loop, with [`Reader::float`] called directly
+    /// for every element.
+    #[inline]
+    pub(crate) fn floats<T>(&mut self, narrow: fn(f64) -> T) -> Result<Vec<T>, Error> {
+        let mut out = Vec::new();
+        let mut more = self.open(b'[', b']')?;
+        while more {
+            out.push(narrow(self.float()?));
+            more = self.next_item(b']')?;
+        }
+        Ok(out)
     }
 
     /// Read an object, handing each key to `entry`, which must consume
@@ -157,26 +234,52 @@ impl<'a> Reader<'a> {
         close: u8,
         mut item: impl FnMut(&mut Self) -> Result<(), Error>,
     ) -> Result<(), Error> {
+        let mut more = self.open(open, close)?;
+        while more {
+            item(self)?;
+            more = self.next_item(close)?;
+        }
+        Ok(())
+    }
+
+    /// Enter a sequence at `open`, one nesting level deeper, and return
+    /// whether an item follows. An empty sequence is consumed whole.
+    #[inline]
+    fn open(&mut self, open: u8, close: u8) -> Result<bool, Error> {
         self.expect(open)?;
         self.descend()?;
-        if self.peek()? != close {
-            loop {
-                item(self)?;
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    c if c == close => break,
-                    c => {
-                        return Err(self.error(format!(
-                            "expected `,` or `{}`, found `{}`",
-                            close as char, c as char
-                        )))
-                    }
-                }
+        if self.peek()? == close {
+            self.leave();
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// After an item: step over `,` and return `true` (another item
+    /// follows), or over `close` and return `false`.
+    #[inline]
+    fn next_item(&mut self, close: u8) -> Result<bool, Error> {
+        match self.peek()? {
+            b',' => {
+                self.pos += 1;
+                Ok(true)
+            }
+            c if c == close => {
+                self.leave();
+                Ok(false)
+            }
+            c => {
+                Err(self
+                    .error(format!("expected `,` or `{}`, found `{}`", close as char, c as char)))
             }
         }
+    }
+
+    /// Step over a sequence's closing byte and leave its nesting level.
+    #[inline]
+    fn leave(&mut self) {
         self.pos += 1;
         self.depth -= 1;
-        Ok(())
     }
 
     /// Read a string, borrowing it from the input unless it has escapes.
@@ -262,11 +365,48 @@ impl<'a> Reader<'a> {
             .ok_or_else(|| self.error("invalid \\u escape"))
     }
 
-    /// Read a number: integer text that fits `i64` as [`Value::Int`],
-    /// anything else through the float parser as [`Value::Float`].
-    #[inline]
-    fn number(&mut self) -> Result<Value, Error> {
+    /// Read a number: integer text that fits `i64` as [`Number::Int`],
+    /// anything else as [`Number::Float`]. Short decimals take the exact
+    /// one-pass path described in the module docs; every other token is
+    /// scanned again from its start and handed to `str::parse`.
+    #[inline(always)]
+    fn number(&mut self) -> Result<Number, Error> {
+        let bytes = self.bytes();
         let start = self.pos;
+        let neg = bytes.get(start) == Some(&b'-');
+        let int_start = start + usize::from(neg);
+        let mut mantissa = 0u64;
+        let int_end = digits(bytes, int_start, &mut mantissa);
+        let mut end = int_end;
+        if int_end > int_start && bytes.get(end) == Some(&b'.') {
+            end = digits(bytes, end + 1, &mut mantissa);
+            if end == int_end + 1 {
+                // `1.`: leave the point to end the token, and so refuse it.
+                end = int_end;
+            }
+        }
+        // Digits in the token: the fraction's point is not one.
+        let frac = (end - int_end).saturating_sub(1);
+        let count = int_end - int_start + frac;
+        let continues = matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        if int_end > int_start && count <= FAST_DIGITS && !continues {
+            self.pos = end;
+            return Ok(if frac == 0 {
+                let m = mantissa as i64;
+                Number::Int(if neg { -m } else { m })
+            } else {
+                let f = mantissa as f64 / POW10[frac];
+                Number::Float(if neg { -f } else { f })
+            });
+        }
+        self.parse_number(start)
+    }
+
+    /// The general number path: the run of `0-9 . e E + -` after an
+    /// optional sign, parsed as `i64` when it is all digits, else as
+    /// `f64`.
+    #[cold]
+    fn parse_number(&mut self, start: usize) -> Result<Number, Error> {
         let rest = &self.bytes()[start..];
         let sign = usize::from(rest.first() == Some(&b'-'));
         let mut integral = true;
@@ -281,23 +421,24 @@ impl<'a> Reader<'a> {
                 _ => true,
             })
             .map_or(rest.len(), |n| sign + n);
-        self.pos += len;
+        self.pos = start + len;
         let text = &self.src[start..self.pos];
         if integral {
             if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
+                return Ok(Number::Int(i));
             }
         }
         text.parse::<f64>()
-            .map(Value::Float)
+            .map(Number::Float)
             .map_err(|_| Error::at(format!("invalid number `{text}`"), start))
     }
 
-    /// Read a number as `f64`.
-    #[inline]
+    /// Read a number as `f64`. Always inlined (with [`Reader::number`]):
+    /// the numeric-array loop calls it once per element.
+    #[inline(always)]
     pub(crate) fn float(&mut self) -> Result<f64, Error> {
         match self.peek()? {
-            b'-' | b'0'..=b'9' => self.number().map(|v| v.as_f64().expect("numbers are numeric")),
+            b'-' | b'0'..=b'9' => self.number().map(Number::as_f64),
             _ => self.scalar("a number", |v| v.as_f64()),
         }
     }
@@ -325,7 +466,7 @@ impl<'a> Reader<'a> {
                 })?;
                 Value::Object(entries)
             }
-            b'-' | b'0'..=b'9' => self.number()?,
+            b'-' | b'0'..=b'9' => self.number()?.into(),
             c => return Err(self.error(format!("unexpected `{}`", c as char))),
         })
     }
