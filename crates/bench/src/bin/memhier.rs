@@ -396,7 +396,7 @@ fn main() {
     // Wall-clock tracing overhead on the STREAM shapes: untraced vs
     // streaming-traced vs buffered-traced, alternated on one warm device.
     eprintln!("measuring wall-clock tracing overhead on the STREAM shapes…");
-    let (warmup, rounds) = if smoke { (1, 7) } else { (2, 9) };
+    let (warmup, rounds) = if smoke { (1, 15) } else { (2, 15) };
     let mut overhead: Vec<OverheadRow> = Vec::new();
     for (vendor, spec) in vendors {
         for &(shape, kernel) in shapes.iter().take(4) {
